@@ -6,8 +6,9 @@ column codec, snapshot manager, DCP pool, transaction engine, maintenance),
 accumulates inclusive milliseconds and counts, and restores the originals on
 ``uninstall``. Untraced runs never install it.
 
-``meter_store`` is the one wrapper untraced runs use: it counts the bytes an
-engine's object store is asked to write, which ``write_amp`` needs.
+``meter_store`` is the one wrapper every run uses, traced or not: it counts
+the bytes an engine's object store is asked to write, which ``write_amp``
+and the ``store.*.bytes`` figures need.
 """
 
 from __future__ import annotations
@@ -89,13 +90,10 @@ class Tracer:
         self._wrap(cat, "get", "catalog.read")
 
         store = object_store.LocalObjectStore
-        self._wrap(store, "put_object", "store.put",
-                   after=lambda a, k, r: add("store.put.bytes", len(_arg(a, k, 2, "payload"))))
-        self._wrap(store, "stage_block", "store.stage",
-                   after=lambda a, k, r: add("store.stage.bytes", len(_arg(a, k, 3, "payload"))))
-        self._wrap(store, "commit_block_list", "store.commit_block_list",
-                   after=lambda a, k, r: add("store.commit_block_list.bytes",
-                                             _object_size(a[0], _arg(a, k, 1, "path"))))
+        # the bytes these write are counted by meter_store, on every run
+        self._wrap(store, "put_object", "store.put")
+        self._wrap(store, "stage_block", "store.stage")
+        self._wrap(store, "commit_block_list", "store.commit_block_list")
         self._wrap(store, "get_object", "store.get",
                    after=lambda a, k, r: add("store.get.bytes", len(r)))
         self._wrap(store, "list_prefix", "store.list")
@@ -152,22 +150,25 @@ class Tracer:
             setattr(owner, attr, orig)
 
 
-def meter_store(store, counter: dict) -> None:
-    """Count, in ``counter['bytes']``, every byte the store is asked to write:
-    whole-object puts, staged blocks and the objects block-list commits make."""
+def meter_store(store, counter) -> None:
+    """Count, in ``counter``, every byte the store is asked to write, by call
+    kind: ``put`` (whole-object puts other than published log documents),
+    ``put_log`` (published log documents, which carry commit wallclocks as
+    JSON floats, so their length varies run to run), ``stage`` (staged
+    blocks) and ``commit_block_list`` (the objects block-list commits make)."""
     put, stage, commit = store.put_object, store.stage_block, store.commit_block_list
 
     def put_object(path, payload):
-        counter["bytes"] += len(payload)
+        counter["put_log" if "/publish/_log/" in str(path) else "put"] += len(payload)
         return put(path, payload)
 
     def stage_block(path, block, payload):
-        counter["bytes"] += len(payload)
+        counter["stage"] += len(payload)
         return stage(path, block, payload)
 
     def commit_block_list(path, blocks):
         result = commit(path, blocks)
-        counter["bytes"] += _object_size(store, path)
+        counter["commit_block_list"] += _object_size(store, path)
         return result
 
     store.put_object = put_object

@@ -5,12 +5,13 @@
 
 Run from the root of a source checkout; the engine is imported from its
 ``src/`` directory and nowhere else. A run builds the workload's starting
-tables several times (``setup_s`` is their median), then repeats whole rounds
-on fresh copies of them until ``--seconds`` have passed. ``--trace 0`` reports
-the end-to-end metrics, ``--trace 1`` wraps the engine's layers and reports
-per-layer figures per round instead. The last line of standard output is one
-JSON object: ``{"correct", "attempted", "failed", "metrics"}``. A wrong answer
-or an engine error fails the operation and the exit code is 1.
+tables several times, before and between its rounds (``setup_s`` is their
+median), and repeats whole rounds on fresh copies of them until ``--seconds``
+have passed. ``--trace 0`` reports the end-to-end metrics, ``--trace 1`` wraps
+the engine's layers and reports per-layer figures per round instead. The last
+line of standard output is one JSON object: ``{"correct", "attempted",
+"failed", "metrics"}``. A wrong answer or an engine error fails the operation
+and the exit code is 1.
 
 ``--self-check`` runs every workload twice for one round, traced, and exits 1
 unless the count-type per-layer figures of the two runs are identical.
@@ -27,16 +28,23 @@ import statistics
 import sys
 import time
 import traceback
+from collections import Counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
 WORK = os.path.join(HERE, "_work")
-# set-up repeats: at least SETUP_REPS, more while they add up to under a second
-SETUP_REPS, SETUP_MAX_REPS, SETUP_SECONDS = 3, 20, 1.0
+# set-up repeats: SETUP_REPS before the first round, then more between
+# rounds while the builds add up to under SETUP_SHARE of the time spent, up to
+# SETUP_MAX_REPS. A set-up of a fifth of a second thus gets a median of some
+# thirty builds spread over the whole run. A build waits on the engine's
+# worker threads more than a hundred times, so on a shared host its time
+# swings with thread wake-up latency from one second to the next; a median
+# taken at one moment would swing with it.
+SETUP_REPS, SETUP_MAX_REPS, SETUP_SHARE = 3, 60, 0.15
 # count-type figures that are not expected to repeat: the journal and the
 # published log documents carry commit wallclocks as JSON floats, whose
 # printed length varies
-VARYING = {"catalog.journal_bytes", "store.put.bytes"}
+VARYING = {"catalog.journal_bytes", "store.put.log_bytes"}
 
 
 def import_engine() -> None:
@@ -60,14 +68,23 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
     tracer = Tracer() if trace else None
     rec = Recorder(tracer)
     setups, rounds, failed = [], 0, 0
-    try:
-        while len(setups) < SETUP_REPS or (
-                sum(setups) < SETUP_SECONDS and len(setups) < SETUP_MAX_REPS):
-            template = os.path.join(work, f"template{len(setups)}")
-            shutil.rmtree(os.path.join(work, f"template{len(setups) - 1}"), ignore_errors=True)
+    template = None
+
+    def build():
+        """Replace the starting tables with a fresh, timed, untraced build."""
+        nonlocal template
+        if template is not None:
+            shutil.rmtree(template)
+        template = os.path.join(work, f"template{len(setups)}")
+        with rec.untraced():
             t0 = time.perf_counter()
             workload.build(template)
             setups.append(time.perf_counter() - t0)
+
+    try:
+        start = time.perf_counter()
+        for _ in range(SETUP_REPS):
+            build()
         if tracer is not None:
             tracer.install()
         root = os.path.join(work, "round")
@@ -77,8 +94,11 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
             workload.round(rec, root)
             shutil.rmtree(root)
             rounds += 1
-            if time.perf_counter() >= deadline:
+            now = time.perf_counter()
+            if now >= deadline:
                 break
+            while sum(setups) < SETUP_SHARE * (now - start) and len(setups) < SETUP_MAX_REPS:
+                build()
     except (Mismatch, EngineError):
         failed = 1
         traceback.print_exc()
@@ -90,7 +110,7 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> dict:
         "rounds": rounds,
         "attempted": max(rec.attempted, 1),
         "failed": failed,
-        "samples": {k: len(v) for k, v in sorted(rec.samples.items())},
+        "samples": {"setup": len(setups), **{k: len(v) for k, v in sorted(rec.samples.items())}},
         "end_to_end": end_to_end(rec, setups) if not failed else {},
         "per_layer": per_layer(tracer, rec, rounds) if tracer and not failed else {},
     }
@@ -106,14 +126,14 @@ def end_to_end(rec, setups) -> dict:
         "setup_s": (statistics.median(setups), "s"),
         "txn_p50_ms": (p50_ms("txn"), "ms"),
         "txn_p95_ms": (statistics.quantiles(s["txn"], n=20, method="inclusive")[18] * 1e3, "ms"),
-        "write_rows_per_s": (statistics.median(rec.write_rates), "rows/s"),
+        "write_rows_per_s": (rec.rows_written / rec.write_seconds, "rows/s"),
         "scan_p50_ms": (p50_ms("scan"), "ms"),
         "scan_cold_p50_ms": (p50_ms("scan_cold"), "ms"),
         "point_p50_ms": (p50_ms("point"), "ms"),
         "asof_p50_ms": (p50_ms("asof"), "ms"),
         "maint_p50_ms": (p50_ms("maint"), "ms"),
         "open_p50_ms": (p50_ms("open"), "ms"),
-        "write_amp": ((rec.stored["bytes"] + rec.journal_bytes) / rec.user_bytes_written, "ratio"),
+        "write_amp": ((rec.stored.total() + rec.journal_bytes) / rec.user_bytes_written, "ratio"),
         "space_amp": (statistics.median(d / u for d, u in rec.space), "ratio"),
         "rss_peak_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
@@ -128,6 +148,9 @@ def per_layer(tracer, rec, rounds: int) -> dict:
     def put(name, value, unit):
         out[name] = (value / rounds, unit)
 
+    # the bytes written come from meter_store, the rest from the tracer
+    n = Counter(n)
+    n.update({f"store.{kind}.bytes": b for kind, b in rec.stored.items()})
     for layer, extra in (
         ("catalog.commit", None),
         ("catalog.read", None),
@@ -145,6 +168,7 @@ def per_layer(tracer, rec, rounds: int) -> dict:
         if extra:
             put(f"{layer}.{extra}", n[f"{layer}.{extra}"], extra)
         put(f"{layer}.ms", ms[layer], "ms")
+    put("store.put.log_bytes", n["store.put_log.bytes"], "bytes")
     put("catalog.ww_conflicts", n["catalog.ww_conflicts"], "count")
     put("catalog.serialization_failures", n["catalog.serialization_failures"], "count")
     put("catalog.journal_bytes", rec.journal_bytes, "bytes")

@@ -80,9 +80,10 @@ class Recorder:
         self.tracer = tracer
         self.samples = defaultdict(list)  # operation class -> seconds
         self.attempted = 0
-        self.write_rates = []  # rows written per second in write transactions, per round
+        self.rows_written = 0  # rows changed by committed write transactions
+        self.write_seconds = 0.0  # time spent in those transactions
         self.user_bytes_written = 0
-        self.stored = {"bytes": 0}  # object puts, staged blocks, block-list commits
+        self.stored = Counter()  # bytes written to the object store, by call kind (meter_store)
         self.journal_bytes = 0
         self.space = []  # (bytes under the root, user bytes of live rows) per round
         self.trace_len = 0  # longest DcpSimulator.trace an engine held at close
@@ -102,8 +103,6 @@ class Round:
         self.root = root
         self.eng = None
         self.last_seq = 0  # highest manifest sequence committed in this round
-        self.rows_written = 0
-        self.write_seconds = 0.0
         self.cut = None  # the next GC ages out every commit up to this sequence
         self.open(timed=False)
 
@@ -130,7 +129,6 @@ class Round:
 
     def finish(self, live_rows) -> None:
         self.close()
-        self.rec.write_rates.append(self.rows_written / self.write_seconds)
         self.rec.space.append((disk_bytes(self.root), sum(user_bytes(r) for r in live_rows)))
 
     # timed operations ---------------------------------------------------
@@ -162,8 +160,8 @@ class Round:
         """Account one committed write transaction."""
         self.rec.samples["txn"].append(seconds)
         self.rec.user_bytes_written += nbytes
-        self.rows_written += rows
-        self.write_seconds += seconds
+        self.rec.rows_written += rows
+        self.rec.write_seconds += seconds
         self.last_seq = max([self.last_seq, *outcome.sequences.values()])
 
     def maintain(self, tables) -> None:
