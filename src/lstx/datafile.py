@@ -11,6 +11,7 @@ Exact byte layouts are documented in docs/format.md.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -42,19 +43,21 @@ class Schema:
     """Ordered (name, type) column list. Rows are plain tuples in this order."""
 
     columns: tuple[tuple[str, str], ...]
+    _index: dict = field(init=False, repr=False, compare=False)  # name -> position
 
     def __post_init__(self):
         if not self.columns:
             raise SchemaError("schema needs at least one column")
-        seen = set()
+        index = {}
         for name, typ in self.columns:
             if not name or not isinstance(name, str):
                 raise SchemaError(f"bad column name: {name!r}")
-            if name in seen:
+            if name in index:
                 raise SchemaError(f"duplicate column: {name}")
-            seen.add(name)
+            index[name] = len(index)
             if typ not in COLUMN_TYPES:
                 raise SchemaError(f"unknown column type: {typ}")
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, *columns: tuple[str, str]) -> "Schema":
@@ -65,16 +68,13 @@ class Schema:
         return tuple(n for n, _ in self.columns)
 
     def type_of(self, name: str) -> str:
-        for n, t in self.columns:
-            if n == name:
-                return t
-        raise SchemaError(f"no such column: {name}")
+        return self.columns[self.index_of(name)][1]
 
     def index_of(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.columns):
-            if n == name:
-                return i
-        raise SchemaError(f"no such column: {name}")
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):
+            raise SchemaError(f"no such column: {name}") from None
 
     def coerce_row(self, row) -> tuple:
         """Validate one row against the schema; ints are accepted for float64
@@ -108,7 +108,18 @@ class Schema:
 
     @classmethod
     def from_json(cls, data) -> "Schema":
-        return cls(tuple((n, t) for n, t in data))
+        """One shared Schema per distinct column list: every data file footer
+        carries its schema, and files of one table repeat it."""
+        columns = tuple((n, t) for n, t in data)
+        try:
+            return _schema_of(columns)
+        except TypeError:  # an unhashable entry; let Schema name the bad column
+            return cls(columns)
+
+
+@functools.lru_cache(maxsize=256)
+def _schema_of(columns: tuple) -> Schema:
+    return Schema(columns)
 
 
 @dataclass(frozen=True)

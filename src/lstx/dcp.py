@@ -3,18 +3,23 @@
 Statements fan out into tasks over disjoint cell sets (a cell is a partition /
 distribution bucket pair, or a concrete data file for deletes). Tasks run on
 worker threads drawn from separate read and write pools, may be cancelled at
-injected fault points, and are retried up to a bounded attempt count. Results
-come back in task order regardless of scheduling, and every identifier a task
-mints is derived from its identity, so a fixed seed plus a fixed fault
-schedule reproduces identical block lists and file metas.
+injected fault points, and are retried up to a bounded attempt count. A
+statement hands each pool at most one job per worker; the jobs take the
+statement's tasks in task order from a shared iterator, so with one worker the
+tasks run in order. Every task settles before the statement returns or raises.
+Results come back in task order regardless of scheduling, and every
+identifier a task mints is derived from its identity, so a fixed seed plus a
+fixed fault schedule reproduces identical block lists and file metas. The
+trace keeps only the newest TRACE_LIMIT task attempts.
 """
 
 from __future__ import annotations
 
+import collections
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .errors import StatementError
@@ -27,6 +32,8 @@ BEFORE = "before"
 MID = "mid"
 AFTER = "after"
 FAULT_POINTS = (BEFORE, MID, AFTER)
+
+TRACE_LIMIT = 4096  # task attempts DcpSimulator.trace keeps, newest last
 
 
 def fnv1a64(data: bytes) -> int:
@@ -157,22 +164,28 @@ class TraceEvent:
 @dataclass
 class DcpSimulator:
     """Two fixed worker pools (read and write) plus a retry loop with fault
-    injection. Tasks of one statement must cover disjoint cells; execution
-    order is unconstrained but results are returned in submission order."""
+    injection. Tasks of one statement must cover disjoint cells. A statement
+    submits at most min(workers, tasks) jobs to each pool and waits for every
+    task to settle; results come back in task order. The trace holds the
+    newest TRACE_LIMIT attempts."""
 
     write_workers: int = 1
     read_workers: int = 1
     max_attempts: int = 3
     fault_policy: "FaultPolicy | None" = None
-    trace: list = field(default_factory=list)
+    trace: collections.deque = field(
+        default_factory=lambda: collections.deque(maxlen=TRACE_LIMIT))
     _mutex: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _pools: dict = field(default_factory=dict, repr=False)
+
+    def _workers(self, kind: str) -> int:
+        return self.write_workers if kind == "write" else self.read_workers
 
     def _pool(self, kind: str) -> ThreadPoolExecutor:
         with self._mutex:
             pool = self._pools.get(kind)
             if pool is None:
-                n = self.write_workers if kind == "write" else self.read_workers
+                n = self._workers(kind)
                 if n < 1:
                     raise ValueError(f"{kind} pool needs at least one worker")
                 pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix=f"dcp-{kind}")
@@ -181,7 +194,9 @@ class DcpSimulator:
 
     def run_tasks(self, tasks) -> list:
         """Execute tasks on their pools; return TaskResults in task order.
-        Raises StatementError once any task exhausts its attempts."""
+        Every task settles before this returns or raises. The first error in
+        task order that is not a StatementError wins; otherwise the first
+        StatementError (a task that exhausted its attempts) is raised."""
         tasks = list(tasks)
         seen_cells = set()
         for t in tasks:
@@ -189,17 +204,37 @@ class DcpSimulator:
             if overlap:
                 raise ValueError(f"tasks share cells: {sorted(overlap)}")
             seen_cells.update(t.cells)
-        futures = [self._pool(t.kind).submit(self._run_one, t) for t in tasks]
-        results = []
-        failure = None
-        for fut in futures:
+        by_kind = {}
+        for i, t in enumerate(tasks):
+            by_kind.setdefault(t.kind, []).append(i)
+        outcomes = [None] * len(tasks)  # (ok, TaskResult or exception)
+        jobs = []
+        for kind, indexes in by_kind.items():
+            pending = iter(indexes)
+            lock = threading.Lock()
+            pool = self._pool(kind)
+            for _ in range(min(self._workers(kind), len(indexes))):
+                jobs.append(pool.submit(self._drain, tasks, pending, lock, outcomes))
+        wait(jobs)
+        for job in jobs:
+            job.result()  # task errors sit in outcomes; this raises only _drain's own
+        errors = [out for ok, out in outcomes if not ok]
+        if errors:
+            raise next((e for e in errors if not isinstance(e, StatementError)), errors[0])
+        return [out for _, out in outcomes]
+
+    def _drain(self, tasks, pending, lock, outcomes) -> None:
+        """One pool job: run the statement's next unclaimed task until none
+        is left, recording each result or error at the task's index."""
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
             try:
-                results.append(fut.result())
-            except StatementError as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
-        return results
+                outcomes[i] = (True, self._run_one(tasks[i]))
+            except Exception as exc:
+                outcomes[i] = (False, exc)
 
     def _run_one(self, task: Task) -> TaskResult:
         worker = threading.current_thread().name
@@ -221,10 +256,6 @@ class DcpSimulator:
         ev = TraceEvent(worker, task.task_id, task.kind, attempt, started, time.monotonic(), ok)
         with self._mutex:
             self.trace.append(ev)
-
-    def clear_trace(self) -> None:
-        with self._mutex:
-            self.trace.clear()
 
     def close(self) -> None:
         with self._mutex:

@@ -427,10 +427,13 @@ class Maintenance:
 class Sto:
     """Background notifier loop: commits enqueue table ids, the worker runs
     whatever upkeep the health thresholds call for. Off unless the engine is
-    configured with auto_maintenance."""
+    configured with auto_maintenance. A run that ends in an EngineError is
+    dropped, counted in failures and described in last_error."""
 
     def __init__(self, engine):
         self.engine = engine
+        self.failures = 0  # upkeep runs that ended in an EngineError
+        self.last_error: "str | None" = None
         self._queue: "queue.Queue" = queue.Queue()
         self._thread = threading.Thread(target=self._run, name="sto", daemon=True)
         self._thread.start()
@@ -458,7 +461,9 @@ class Sto:
                     maint.compact(tid)
                 if health.needs_checkpoint:
                     maint.checkpoint(tid)
-            except EngineError:
-                pass  # lost a race or the table vanished; next commit re-notifies
+            except EngineError as exc:
+                # lost a race or the table vanished; next commit re-notifies
+                self.failures += 1
+                self.last_error = f"{type(exc).__name__}: {exc}"
             finally:
                 self._queue.task_done()

@@ -39,7 +39,6 @@ from .datafile import (
     encode_data_file,
     encode_delete_vector,
     file_meta_for,
-    merge_delete_vectors,
 )
 from .dcp import DcpSimulator, FaultPolicy, Task, TaskResult, distribute
 from .errors import (

@@ -5,11 +5,15 @@ variant (offset basis 14695981039346656037, prime 1099511628211).
 """
 
 import collections
+import sys
+import threading
+import time
 
 import pytest
 
 from lstx.datafile import Schema
 from lstx.dcp import (
+    TRACE_LIMIT,
     DcpSimulator,
     FaultContext,
     FaultPolicy,
@@ -252,5 +256,119 @@ def test_empty_task_list_is_fine():
     sim = DcpSimulator()
     try:
         assert sim.run_tasks([]) == []
+    finally:
+        sim.close()
+
+
+def count_submits(sim, kind):
+    """Wrap the pool's submit so the test sees every hand-off to it."""
+    pool = sim._pool(kind)
+    calls = []
+    submit = pool.submit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return submit(*args, **kwargs)
+
+    pool.submit = counting
+    return calls
+
+
+def test_one_pool_job_per_worker_per_statement():
+    sim = DcpSimulator(read_workers=1)
+    try:
+        calls = count_submits(sim, "read")
+        tasks = [make_task(f"r{i}", lambda fc, i=i: TaskResult(f"r{i}", value=i), kind="read")
+                 for i in range(50)]
+        results = sim.run_tasks(tasks)
+        assert len(calls) == 1
+        assert [r.value for r in results] == list(range(50))
+        assert [e.task_id for e in sim.trace] == [f"r{i}" for i in range(50)]
+        assert all(e.worker.startswith("dcp-read") for e in sim.trace)
+    finally:
+        sim.close()
+    sim = DcpSimulator(write_workers=3)
+    try:
+        calls = count_submits(sim, "write")
+        results = sim.run_tasks([make_task(f"w{i}", lambda fc, i=i: TaskResult(f"w{i}", value=i))
+                                 for i in range(2)])
+        assert len(calls) == 2
+        assert [r.value for r in results] == [0, 1]
+    finally:
+        sim.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_task_settles_before_an_error_is_raised(workers):
+    doomed_policy = FaultPolicy.from_config([
+        {"task": "doomed", "attempt": a, "point": "before"} for a in (1, 2, 3)
+    ])
+    sim = DcpSimulator(write_workers=workers, fault_policy=doomed_policy)
+    try:
+        finished = []
+
+        def boom(fc):
+            raise ValueError("boom")
+
+        def slow(fc):
+            time.sleep(0.05)
+            finished.append(fc.task_id)
+            return TaskResult(fc.task_id)
+
+        def doomed(fc):
+            fc.checkpoint("before")
+            return TaskResult("doomed")
+
+        with pytest.raises(ValueError):
+            try:
+                sim.run_tasks([make_task("boom", boom), make_task("slow", slow)])
+            finally:
+                settled_first = list(finished)
+        assert settled_first == ["slow"]
+
+        # a StatementError earlier in task order does not hide the ValueError
+        finished.clear()
+        with pytest.raises(ValueError):
+            try:
+                sim.run_tasks([make_task("doomed", doomed), make_task("boom", boom),
+                               make_task("slow2", slow)])
+            finally:
+                settled_first = list(finished)
+        assert settled_first == ["slow2"]
+    finally:
+        sim.close()
+
+
+def test_workers_sharing_a_statement_run_each_task_once():
+    sim = DcpSimulator(read_workers=8)
+    runs = collections.Counter()
+    runs_lock = threading.Lock()
+
+    def fn(fc):
+        with runs_lock:
+            runs[fc.task_id] += 1
+        return TaskResult(fc.task_id, value=fc.task_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ids = [f"r{i}" for i in range(500)]
+        for _ in range(5):
+            results = sim.run_tasks([make_task(t, fn, kind="read") for t in ids])
+            assert [r.value for r in results] == ids
+        assert set(runs) == set(ids) and set(runs.values()) == {5}
+    finally:
+        sys.setswitchinterval(interval)
+        sim.close()
+
+
+def test_trace_keeps_the_newest_attempts():
+    sim = DcpSimulator(write_workers=1)
+    try:
+        ids = [f"t{i}" for i in range(TRACE_LIMIT + 25)]
+        tasks = [make_task(t, lambda fc: TaskResult(fc.task_id)) for t in ids]
+        sim.run_tasks(tasks[:100])
+        sim.run_tasks(tasks[100:])
+        assert [e.task_id for e in sim.trace] == ids[-TRACE_LIMIT:]
     finally:
         sim.close()

@@ -409,3 +409,13 @@ def test_background_worker_checkpoints_and_compacts(make_engine):
     h = engine.maintenance.health(t)
     assert h.checkpoint_upto > 0
     assert h.live_files < 4  # small files were merged behind the scenes
+
+
+def test_background_worker_counts_the_errors_it_drops(make_engine):
+    engine = make_engine(config=fast_config(auto_maintenance=True))
+    t = engine.create_table("t", COLS)
+    engine.drop_table("t")
+    engine.sto.notify(t.table_id)
+    engine.sto.drain()
+    assert engine.sto.failures == 1
+    assert "UnknownTableError" in engine.sto.last_error
