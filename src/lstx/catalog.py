@@ -564,10 +564,6 @@ class Catalog:
             begins = [v for t, v in self._live.items() if t != exclude]
         return min(begins) if begins else None
 
-    def live_txn_ids(self) -> list:
-        with self._mutex:
-            return sorted(self._live)
-
     def export_snapshot(self) -> bytes:
         """Latest committed rows of every table plus counters, as JSON bytes."""
         with self._mutex:

@@ -99,6 +99,7 @@ class FaultPolicy:
     schedule always cancels the same attempts at the same points."""
 
     schedule: tuple = ()  # ((task_id, attempt, point), ...)
+    _faults: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for task_id, attempt, point in self.schedule:
@@ -108,13 +109,14 @@ class FaultPolicy:
                 raise ValueError("attempts are 1-based")
             if not isinstance(task_id, str):
                 raise ValueError(f"task id must be a string: {task_id!r}")
+        object.__setattr__(self, "_faults", frozenset(self.schedule))
 
     @classmethod
     def from_config(cls, entries) -> "FaultPolicy":
         return cls(tuple((e["task"], int(e["attempt"]), e["point"]) for e in entries))
 
     def fails(self, task_id: str, attempt: int, point: str) -> bool:
-        return (task_id, attempt, point) in set(self.schedule)
+        return (task_id, attempt, point) in self._faults
 
 
 class FaultContext:

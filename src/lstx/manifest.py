@@ -98,12 +98,6 @@ def remove_dv(path: str, meta: DvMeta) -> Action:
     return Action(REMOVE_DV, path, meta)
 
 
-@dataclass(frozen=True)
-class TransactionManifest:
-    table_id: int
-    actions: tuple = ()
-
-
 # ---------------------------------------------------------------------------
 # line encoding
 

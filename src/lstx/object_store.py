@@ -100,14 +100,6 @@ class BlockId:
         return cls(digest, origin=writer_key)
 
 
-@dataclass(frozen=True)
-class StagedBlock:
-    path: str
-    block: BlockId
-    size: int
-    staged_at: float
-
-
 @dataclass
 class LocalObjectStore:
     """Directory-tree backend. Object content becomes visible only when
@@ -216,7 +208,7 @@ class LocalObjectStore:
 
     # block staging API ----------------------------------------------------
 
-    def stage_block(self, path, block: BlockId, payload: bytes) -> StagedBlock:
+    def stage_block(self, path, block: BlockId, payload: bytes) -> None:
         """Stage a named block against path. Invisible to readers until a
         commit lists it. Re-staging the same block id replaces its payload."""
         p = as_path(path)
@@ -227,7 +219,6 @@ class LocalObjectStore:
             sdir = self._staged_dir(p)
             os.makedirs(sdir, exist_ok=True)
             os.replace(tmp, os.path.join(sdir, block.id))
-        return StagedBlock(str(p), block, len(payload), float(self._next_tick()))
 
     def staged_blocks(self, path) -> list[str]:
         """Ids of currently staged blocks for path (diagnostics and tests)."""
@@ -241,7 +232,12 @@ class LocalObjectStore:
         """Atomically set the object content to the concatenation of the listed
         staged blocks, in list order. Every staged block not in the list is
         discarded. Raises UnknownBlockError (and changes nothing) if any listed
-        id is not currently staged."""
+        id is not currently staged.
+
+        A one-block list moves the staged file onto the object path instead
+        of copying it; stage_block wrote that file whole before renaming it
+        into the staging directory, so the object still appears whole or not
+        at all."""
         p = as_path(path)
         with self._lock_for(str(p)):
             sdir = self._staged_dir(p)
@@ -251,14 +247,16 @@ class LocalObjectStore:
             missing = [b.id for b in blocks if b.id not in staged]
             if missing:
                 raise UnknownBlockError(f"{p}: blocks not staged: {missing}")
-            parts = []
-            for b in blocks:
-                with open(os.path.join(sdir, b.id), "rb") as fh:
-                    parts.append(fh.read())
             fs = self._fs(p)
             os.makedirs(os.path.dirname(fs), exist_ok=True)
-            tmp = self._tmp_file(b"".join(parts))
-            os.replace(tmp, fs)
+            if len(blocks) == 1:
+                os.replace(os.path.join(sdir, blocks[0].id), fs)
+            else:
+                parts = []
+                for b in blocks:
+                    with open(os.path.join(sdir, b.id), "rb") as fh:
+                        parts.append(fh.read())
+                os.replace(self._tmp_file(b"".join(parts)), fs)
             shutil.rmtree(sdir, ignore_errors=True)
             return self._bump_version(str(p))
 

@@ -2,9 +2,10 @@
 
 A transaction owns, per touched table, a private manifest object on storage.
 Statements fan out into pool tasks that write immutable data / delete-vector
-files and stage manifest blocks; the coordinator commits the block list, then
-reconciles the statement into the transaction's manifest and rewrites the
-manifest object with a fresh block. Reads see the committed snapshot plus the
+files and stage manifest blocks. On a table's first statement the coordinator
+commits the task block list, which already is the manifest unless reconcile
+cancels an action; later statements reconcile into the transaction's manifest
+and commit it as one fresh block. Reads see the committed snapshot plus the
 transaction's own manifest (overlay). Commit inserts the manifest rows and
 conflict keys into the catalog, which enforces first-committer-wins under one
 global lock. Data and delete-vector file names embed the writing transaction,
@@ -483,10 +484,12 @@ class Engine:
 
     def _apply_statement(self, txn: Txn, tdef: TableDef, stmt: int, results,
                          leading_actions=()) -> None:
-        """Fold a statement's task results into the txn manifest and rewrite
-        the manifest object. First statement on a table additionally commits
-        the raw task blocks in task order and decodes them back, exercising
-        the uncoordinated multi-writer path end to end."""
+        """Fold a statement's task results into the txn manifest and write the
+        manifest object once. A table's first statement commits the task
+        blocks in task order and decodes them back; when reconcile cancels
+        nothing, that committed block list is the manifest. Later statements,
+        compaction's leading actions and cancelling statements commit one
+        freshly staged block holding the reconciled actions."""
         new_actions = tuple(leading_actions) + tuple(
             a for r in results for a in r.actions
         )
@@ -495,17 +498,20 @@ class Engine:
         tid = tdef.table_id
         mpath = self.manifest_path(txn, tid)
         own = txn.manifests.get(tid)
-        if own is None and not leading_actions:
+        first = own is None and not leading_actions
+        if first:
             blocks = [b for r in results for b in r.block_ids]
             self.store.commit_block_list(mpath, blocks)
+            # the read-back is the check on the block-list commit
             decoded = mf.decode_manifest(self.store.get_object(mpath))
             if decoded != new_actions:
                 raise EngineError(f"manifest block decode mismatch on {mpath}")
         reconciled, orphans = mf.reconcile(own or (), new_actions)
         if reconciled:
-            fe_block = BlockId.derive(f"{txn.guid}s{stmt}.fe")
-            self.store.stage_block(mpath, fe_block, mf.encode_actions(reconciled))
-            self.store.commit_block_list(mpath, [fe_block])
+            if not (first and reconciled == new_actions):
+                fe_block = BlockId.derive(f"{txn.guid}s{stmt}.fe")
+                self.store.stage_block(mpath, fe_block, mf.encode_actions(reconciled))
+                self.store.commit_block_list(mpath, [fe_block])
             txn.manifests[tid] = reconciled
             txn.manifest_paths[tid] = mpath
         else:

@@ -171,6 +171,45 @@ def test_empty_statements_are_cheap(engine):
     assert out.read_only  # nothing actually changed
 
 
+def test_manifest_written_once_per_statement(engine):
+    import lstx.manifest as mf
+
+    t = engine.create_table("t", COLS, distribution_count=4)
+    store = engine.store
+    stage, commit = store.stage_block, store.commit_block_list
+    staged, committed = [], []
+
+    def stage_block(path, block, payload):
+        staged.append((path, block.origin))
+        return stage(path, block, payload)
+
+    def commit_block_list(path, blocks):
+        committed.append(path)
+        return commit(path, blocks)
+
+    store.stage_block = stage_block
+    store.commit_block_list = commit_block_list
+    x = engine.begin_transaction("si")
+    x.insert(t, seed_rows(40))
+    tid = t.table_id
+    mpath = x.manifest_paths[tid]
+    # the first statement's task blocks, committed in task order, are the manifest
+    assert committed == [mpath]
+    assert not [o for _, o in staged if o.endswith(".fe")]
+    assert len(staged) == len(x.manifests[tid]) == 4
+    assert store.get_object(mpath) == mf.encode_actions(x.manifests[tid])
+
+    staged.clear()
+    committed.clear()
+    x.insert(t, seed_rows(8, start=40))
+    assert committed == [mpath]
+    assert [p for p, o in staged if o.endswith(".fe")] == [mpath]
+    assert store.get_object(mpath) == mf.encode_actions(x.manifests[tid])
+    assert store.staged_blocks(mpath) == []
+    x.commit()
+    assert sorted(engine.begin_transaction("si").scan(t)) == seed_rows(48)
+
+
 # ---------------------------------------------------------------------------
 # conflicts
 
