@@ -400,13 +400,6 @@ class Catalog:
             raise DuplicateKeyError(f"{table}{key} already exists")
         txn.writes[(table, key)] = ("put", row)
 
-    def update(self, txn: CatalogTxn, table: str, row) -> None:
-        """Buffer an overwrite of an existing key (engine plumbing; WriteSets
-        counters go through upsert_writeset instead)."""
-        self._check_active(txn)
-        key = _key_of(table, row)
-        txn.writes[(table, key)] = ("put", row)
-
     def delete(self, txn: CatalogTxn, table: str, key: tuple) -> None:
         self._check_active(txn)
         key = tuple(key)

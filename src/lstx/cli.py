@@ -124,7 +124,6 @@ def _save_session(root: str, name: str, txn) -> None:
         "granularity": txn.granularity,
         "stmt": txn.stmt,
         "manifests": {str(tid): p for tid, p in txn.manifest_paths.items()},
-        "orphans": list(txn.orphans),
         "read_set": _freeze_reads(txn.ctx.read_set),
     }
     path = _session_path(root, name)
@@ -157,7 +156,6 @@ def _attach(engine: Engine, root: str, name: str):
         granularity=doc["granularity"],
         stmt=doc["stmt"],
         manifest_paths={int(k): v for k, v in doc["manifests"].items()},
-        orphans=doc["orphans"],
         read_set=_thaw_reads(doc["read_set"]),
     )
 

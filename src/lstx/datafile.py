@@ -175,13 +175,6 @@ class DeleteVector:
         return len(self.bits)
 
 
-def merge_delete_vectors(older: DeleteVector, newer: DeleteVector) -> DeleteVector:
-    """Set union of two vectors over the same target file."""
-    if older.target != newer.target:
-        raise SchemaError(f"delete vector targets differ: {older.target} vs {newer.target}")
-    return DeleteVector(older.target, older.bits | newer.bits)
-
-
 # ---------------------------------------------------------------------------
 # data file codec
 

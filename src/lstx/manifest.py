@@ -10,8 +10,8 @@ optionally starting from a checkpoint. ``overlay`` folds a transaction's own
 uncommitted manifest on top of a committed state; ``reconcile`` merges the
 actions of a new statement into the transaction's manifest, cancelling work
 the statement made obsolete (a file both added and removed inside one
-transaction vanishes from the manifest and is reported as an orphan for
-garbage collection).
+transaction vanishes from the manifest and is left on storage for garbage
+collection, which finds such orphans by listing storage).
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def overlay(state: TableState, actions) -> TableState:
 def reconcile(own, new_actions):
     """Merge a statement's actions into the transaction's manifest.
 
-    Returns (actions, orphans). An Add cancelled by a later Remove of the same
+    Returns the merged actions. An Add cancelled by a later Remove of the same
     file drops both actions; the file keeps existing on storage with no
     manifest referencing it, which is exactly the orphan shape garbage
     collection liquidates. Successive delete vectors against one target
@@ -256,7 +256,6 @@ def reconcile(own, new_actions):
     add_at = {}  # path -> index of its Add in combined
     removed_paths = set()
     drop = set()
-    orphans = []
     for i, act in enumerate(combined):
         if act.kind in (ADD, ADD_DV):
             if act.path in add_at:
@@ -272,10 +271,8 @@ def reconcile(own, new_actions):
                 drop.add(j)
                 drop.add(i)
                 del add_at[act.path]
-                orphans.append(act.path)
             removed_paths.add(act.path)
-    result = tuple(a for i, a in enumerate(combined) if i not in drop)
-    return result, tuple(orphans)
+    return tuple(a for i, a in enumerate(combined) if i not in drop)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ Two write paths exist on purpose:
 The backend is a local directory tree. Staged blocks for ``<path>`` live in a
 reserved sibling directory ``<path>.staged/``; readers and ``list_prefix``
 never see it.
+
+One store-wide staging lock serialises every change to a staged directory:
+staging a block, committing a block list, discarding staged blocks and
+deleting an object. A block staged while another call removes that directory
+therefore lands either before the removal or in a fresh directory after it,
+never in a directory that is being torn down. The store keeps no per-path
+state, so its memory does not grow with the number of paths written.
 """
 
 from __future__ import annotations
@@ -60,15 +67,8 @@ class ObjectPath:
             raise InvalidPathError("encoded path longer than 1024 chars")
 
     @classmethod
-    def of(cls, *segments: str) -> "ObjectPath":
-        return cls(tuple(segments))
-
-    @classmethod
     def parse(cls, text: str) -> "ObjectPath":
         return cls(tuple(text.split("/")))
-
-    def child(self, *segments: str) -> "ObjectPath":
-        return ObjectPath(self.segments + tuple(segments))
 
     def __str__(self) -> str:
         return "/".join(self.segments)
@@ -108,8 +108,8 @@ class LocalObjectStore:
 
     root: str
     _mutex: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _path_locks: dict = field(default_factory=dict, repr=False)
-    _versions: dict = field(default_factory=dict, repr=False)
+    # not _mutex: a multi-block commit calls _tmp_file, which takes _mutex
+    _staging: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _clock: int = 0
 
     def __post_init__(self):
@@ -122,19 +122,6 @@ class LocalObjectStore:
 
     def _staged_dir(self, path: ObjectPath) -> str:
         return self._fs(path) + STAGED_SUFFIX
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._mutex:
-            lock = self._path_locks.get(key)
-            if lock is None:
-                lock = self._path_locks[key] = threading.Lock()
-            return lock
-
-    def _bump_version(self, key: str) -> int:
-        with self._mutex:
-            v = self._versions.get(key, 0) + 1
-            self._versions[key] = v
-            return v
 
     def _next_tick(self) -> int:
         with self._mutex:
@@ -151,7 +138,7 @@ class LocalObjectStore:
 
     # whole-object API -----------------------------------------------------
 
-    def put_object(self, path, payload: bytes) -> int:
+    def put_object(self, path, payload: bytes) -> None:
         """Write-once put. Raises AlreadyExistsError if the path is committed."""
         p = as_path(path)
         fs = self._fs(p)
@@ -164,7 +151,6 @@ class LocalObjectStore:
             raise AlreadyExistsError(str(p)) from None
         finally:
             os.unlink(tmp)
-        return self._bump_version(str(p))
 
     def get_object(self, path) -> bytes:
         p = as_path(path)
@@ -177,14 +163,10 @@ class LocalObjectStore:
     def object_exists(self, path) -> bool:
         return os.path.isfile(self._fs(as_path(path)))
 
-    def object_version(self, path) -> int:
-        """Commits observed for the path in this process (test support)."""
-        return self._versions.get(str(as_path(path)), 0)
-
     def delete_object(self, path) -> None:
         """Idempotent delete; also drops any staged blocks for the path."""
         p = as_path(path)
-        with self._lock_for(str(p)):
+        with self._staging:
             try:
                 os.unlink(self._fs(p))
             except FileNotFoundError:
@@ -215,7 +197,7 @@ class LocalObjectStore:
         if not payload:
             raise InvalidPathError(f"empty block payload for {p}")
         tmp = self._tmp_file(payload)
-        with self._lock_for(str(p)):
+        with self._staging:
             sdir = self._staged_dir(p)
             os.makedirs(sdir, exist_ok=True)
             os.replace(tmp, os.path.join(sdir, block.id))
@@ -228,7 +210,7 @@ class LocalObjectStore:
         except FileNotFoundError:
             return []
 
-    def commit_block_list(self, path, blocks: list[BlockId]) -> int:
+    def commit_block_list(self, path, blocks: list[BlockId]) -> None:
         """Atomically set the object content to the concatenation of the listed
         staged blocks, in list order. Every staged block not in the list is
         discarded. Raises UnknownBlockError (and changes nothing) if any listed
@@ -239,7 +221,7 @@ class LocalObjectStore:
         into the staging directory, so the object still appears whole or not
         at all."""
         p = as_path(path)
-        with self._lock_for(str(p)):
+        with self._staging:
             sdir = self._staged_dir(p)
             staged = set()
             if os.path.isdir(sdir):
@@ -258,7 +240,6 @@ class LocalObjectStore:
                         parts.append(fh.read())
                 os.replace(self._tmp_file(b"".join(parts)), fs)
             shutil.rmtree(sdir, ignore_errors=True)
-            return self._bump_version(str(p))
 
     def discard_staged(self, path) -> None:
         """Drop any staged blocks for path without touching the object itself.
@@ -267,7 +248,7 @@ class LocalObjectStore:
         sweep blocks abandoned by dead transactions.
         """
         p = as_path(path)
-        with self._lock_for(str(p)):
+        with self._staging:
             shutil.rmtree(self._staged_dir(p), ignore_errors=True)
 
     def list_staged(self, prefix) -> list[str]:

@@ -197,7 +197,6 @@ class Txn:
         self.snapshots: dict[int, mf.TableState] = {}
         self.manifests: dict[int, tuple] = {}
         self.manifest_paths: dict[int, str] = {}
-        self.orphans: list[str] = []
         self.stmt = 0
 
     @property
@@ -506,7 +505,7 @@ class Engine:
             decoded = mf.decode_manifest(self.store.get_object(mpath))
             if decoded != new_actions:
                 raise EngineError(f"manifest block decode mismatch on {mpath}")
-        reconciled, orphans = mf.reconcile(own or (), new_actions)
+        reconciled = mf.reconcile(own or (), new_actions)
         if reconciled:
             if not (first and reconciled == new_actions):
                 fe_block = BlockId.derive(f"{txn.guid}s{stmt}.fe")
@@ -521,7 +520,6 @@ class Engine:
                 self.store.delete_object(mpath)
             txn.manifests[tid] = ()
             txn.manifest_paths.pop(tid, None)
-        txn.orphans.extend(orphans)
 
     def _insert_task(self, txn: Txn, tdef: TableDef, stmt: int, index: int,
                      bucket: int, rows: tuple, task_id: str) -> Task:
@@ -814,11 +812,10 @@ class Engine:
 
     def attach_transaction(self, txn_id: int, begin_version: int, isolation,
                            granularity: str, stmt: int, manifest_paths: dict,
-                           orphans=(), read_set=()) -> Txn:
+                           read_set=()) -> Txn:
         ctx = self.catalog.adopt(txn_id, begin_version, isolation, read_set)
         txn = Txn(self, ctx, granularity)
         txn.stmt = stmt
-        txn.orphans = list(orphans)
         for tid, mpath in manifest_paths.items():
             actions = mf.decode_manifest(self.store.get_object(mpath))
             txn.manifests[int(tid)] = actions

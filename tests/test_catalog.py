@@ -42,6 +42,12 @@ def mrow(tid: int, path: str) -> ManifestsRow:
     return ManifestsRow(table_id=tid, manifest_path=path)
 
 
+def rewrite(cat, txn, row: TablesRow) -> None:
+    """Overwrite a TABLES row as the engine does: delete the key, insert it."""
+    cat.delete(txn, TABLES, (row.table_id,))
+    cat.insert(txn, TABLES, row)
+
+
 # ---------------------------------------------------------------------------
 # basic visibility
 
@@ -284,8 +290,8 @@ def test_serializable_write_skew_aborts_one(cat):
     # each reads the row the other rewrites
     cat.get(t1, TABLES, (2,))
     cat.get(t2, TABLES, (1,))
-    cat.update(t1, TABLES, trow(1, "a2"))
-    cat.update(t2, TABLES, trow(2, "b2"))
+    rewrite(cat, t1, trow(1, "a2"))
+    rewrite(cat, t2, trow(2, "b2"))
     cat.commit(t1)
     with pytest.raises(SerializationFailureError):
         cat.commit(t2)
@@ -301,10 +307,13 @@ def test_same_interleaving_commits_under_si(cat):
     t2 = cat.begin(Isolation.SI)
     cat.get(t1, TABLES, (2,))
     cat.get(t2, TABLES, (1,))
-    cat.update(t1, TABLES, trow(1, "a2"))
-    cat.update(t2, TABLES, trow(2, "b2"))
+    rewrite(cat, t1, trow(1, "a2"))
+    rewrite(cat, t2, trow(2, "b2"))
     cat.commit(t1)
     cat.commit(t2)  # SI permits the skew
+    r = cat.begin()
+    assert [x.name for x in cat.read(r, TABLES)] == ["a2", "b2"]
+    cat.abort(r)
 
 
 def test_serializable_where_scan_invalidated_by_new_row(cat):

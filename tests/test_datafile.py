@@ -19,7 +19,6 @@ from lstx.datafile import (
     encode_data_file,
     encode_delete_vector,
     file_meta_for,
-    merge_delete_vectors,
 )
 from lstx.errors import CorruptFileError, SchemaError
 
@@ -187,17 +186,6 @@ def test_dv_corruption_detected():
     payload[-1] ^= 0x01
     with pytest.raises(CorruptFileError):
         decode_delete_vector(bytes(payload))
-
-
-def test_merge_is_union_with_same_target():
-    a = DeleteVector("f", frozenset({1, 2}))
-    b = DeleteVector("f", frozenset({2, 7}))
-    merged = merge_delete_vectors(a, b)
-    assert merged.target == "f"
-    assert merged.bits == frozenset({1, 2, 7})
-    assert merge_delete_vectors(b, a).bits == merged.bits
-    with pytest.raises(SchemaError):
-        merge_delete_vectors(a, DeleteVector("other", frozenset({1})))
 
 
 def test_digest_is_stable_hex():

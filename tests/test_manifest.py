@@ -137,31 +137,25 @@ def test_overlay_does_not_advance_sequence():
 def test_reconcile_cancels_own_add_remove_pair():
     own = (mf.add_file(meta("f1")), mf.add_file(meta("f2")))
     new = (mf.remove_file("f1"),)
-    merged, orphans = mf.reconcile(own, new)
-    assert merged == (mf.add_file(meta("f2")),)
-    assert orphans == ("f1",)
+    assert mf.reconcile(own, new) == (mf.add_file(meta("f2")),)
 
 
 def test_reconcile_cancels_own_dv_chain():
     own = (mf.add_dv("v1", dvmeta("f", 2)),)
     new = (mf.remove_dv("v1", dvmeta("f", 2)), mf.add_dv("v2", dvmeta("f", 5)))
-    merged, orphans = mf.reconcile(own, new)
-    assert merged == (mf.add_dv("v2", dvmeta("f", 5)),)
-    assert orphans == ("v1",)
+    assert mf.reconcile(own, new) == (mf.add_dv("v2", dvmeta("f", 5)),)
 
 
 def test_reconcile_keeps_foreign_removes():
-    merged, orphans = mf.reconcile((), (mf.remove_file("committed-file"),))
+    merged = mf.reconcile((), (mf.remove_file("committed-file"),))
     assert merged == (mf.remove_file("committed-file"),)
-    assert orphans == ()
 
 
 def test_reconcile_rejects_contradictions():
     own = (mf.add_file(meta("f1")),)
     with pytest.raises(ManifestError):
         mf.reconcile(own, (mf.add_file(meta("f1")),))
-    removed, _ = mf.reconcile(own, (mf.remove_file("f1"),))
-    assert removed == ()
+    assert mf.reconcile(own, (mf.remove_file("f1"),)) == ()
     with pytest.raises(ManifestError):
         mf.reconcile((mf.remove_file("f1"),), (mf.remove_file("f1"),))
 
@@ -169,8 +163,7 @@ def test_reconcile_rejects_contradictions():
 def test_reconcile_preserves_statement_order():
     own = (mf.add_file(meta("f1")),)
     new = (mf.add_file(meta("f2")), mf.add_dv("v1", dvmeta("f0", 1)))
-    merged, _ = mf.reconcile(own, new)
-    assert merged == own + new
+    assert mf.reconcile(own, new) == own + new
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Object store contract: write-once objects, block staging, atomic lists."""
 
+import os
 import threading
+import tracemalloc
 
 import pytest
 
@@ -10,6 +12,7 @@ from lstx.errors import (
     NotFoundError,
     UnknownBlockError,
 )
+from lstx import object_store
 from lstx.object_store import BlockId, LocalObjectStore, ObjectPath
 
 
@@ -29,7 +32,6 @@ def test_path_parse_roundtrip():
     p = ObjectPath.parse("ws/t1/data/f.col")
     assert p.segments == ("ws", "t1", "data", "f.col")
     assert str(p) == "ws/t1/data/f.col"
-    assert str(p.child("x")) == "ws/t1/data/f.col/x"
 
 
 @pytest.mark.parametrize("bad", [
@@ -88,13 +90,14 @@ def test_list_prefix_sorted_and_scoped(store):
     assert store.list_prefix("w/t9") == []
 
 
-def test_version_bumps_on_rewrite_via_blocks(store):
+def test_rewrite_via_blocks_replaces_content(store):
     store.stage_block("v/obj", bid(1), b"one")
     store.commit_block_list("v/obj", [bid(1)])
-    v1 = store.object_version("v/obj")
+    assert store.get_object("v/obj") == b"one"
     store.stage_block("v/obj", bid(2), b"two")
     store.commit_block_list("v/obj", [bid(2)])
-    assert store.object_version("v/obj") > v1
+    assert store.get_object("v/obj") == b"two"
+    assert store.staged_blocks("v/obj") == []
 
 
 # ---------------------------------------------------------------------------
@@ -190,3 +193,27 @@ def test_concurrent_staging_then_single_commit(store):
     store.commit_block_list("c/obj", [bid(n) for n in order])
     expected = b"".join(f"part{n:02d};".encode() for n in order)
     assert store.get_object("c/obj") == expected
+
+
+def test_store_memory_does_not_grow_with_paths_written(store):
+    def cycles(start, n):
+        for i in range(start, start + n):
+            store.put_object(f"p/{i}", b"x")
+            store.delete_object(f"p/{i}")
+            store.stage_block(f"s/{i}", bid(i), b"y")
+            store.commit_block_list(f"s/{i}", [bid(i)])
+            store.delete_object(f"s/{i}")
+
+    cycles(0, 100)  # warm up allocator pools and interned strings
+    module = os.path.abspath(object_store.__file__)
+    only_store = [tracemalloc.Filter(True, module)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_store)
+        cycles(100, 1000)
+        after = tracemalloc.take_snapshot().filter_traces(only_store)
+    finally:
+        tracemalloc.stop()
+    growth = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert growth < 32 * 1024, f"store bookkeeping grew by {growth} bytes"
+    assert store.list_prefix("p") == [] and store.list_prefix("s") == []
