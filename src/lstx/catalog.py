@@ -3,14 +3,17 @@
 Four tables (manifests, writesets, checkpoints, tables) stored as in-memory
 multi-version chains, durable through an append-only journal. Every committed
 catalog transaction appends one length-prefixed, CRC-guarded record; restart
-replays the journal.
+replays the journal. Commit, reserve, import and replay all put records into
+the chains through one function, ``_apply``, and every visible-row scan goes
+through one walk, ``_walk``.
 
 Concurrency model: optimistic snapshot isolation. Reads never block; a commit
-takes one global lock, validates first-committer-wins on its write set (plus
-read validation under SERIALIZABLE), assigns the next revision and, for fresh
-manifest rows, the next gap-free sequence ids, appends the journal record and
-publishes the new versions. The lock's critical section performs no storage
-I/O other than the journal append.
+takes the catalog's one lock, validates first-committer-wins on its write set
+(plus read validation under SERIALIZABLE), assigns the next revision and, for
+fresh manifest rows, the next gap-free sequence ids, appends and flushes the
+journal record and publishes the new versions. The record is flushed to the
+operating system, not fsynced (ROADMAP item 1). The lock's critical section
+performs no storage I/O other than the journal append.
 """
 
 from __future__ import annotations
@@ -162,6 +165,11 @@ def _row_from_json(table: str, data: dict):
     return _ROW_TYPES[table](**data)
 
 
+def _matches(row, where: dict) -> bool:
+    """Field-equality filter of read(where=...) and recorded where-reads."""
+    return all(getattr(row, f) == v for f, v in where.items())
+
+
 ACTIVE = "active"
 COMMITTED = "committed"
 ABORTED = "aborted"
@@ -191,7 +199,6 @@ class Catalog:
 
     def __init__(self, journal_path: "str | None" = None):
         self._mutex = threading.Lock()
-        self._commit_lock = threading.Lock()
         # table -> key -> [(version, row-or-None), ...] append-only chains
         self._chains: dict[str, dict[tuple, list]] = {t: {} for t in _ROW_TYPES}
         self._version = 0
@@ -229,30 +236,52 @@ class Catalog:
             (crc,) = _U32.unpack_from(raw, off + 4 + length)
             if zlib.crc32(payload) != crc:
                 break  # corrupt tail, stop replay here
-            self._apply_record(json.loads(payload))
+            rec = json.loads(payload)
+            mutations = [
+                (table, tuple(key), None if data is None else _row_from_json(table, data))
+                for table, key, data in rec["m"]
+            ]
+            self._apply(rec["v"], rec.get("txn", 0), rec.get("wc"), mutations, rec.get("seq"))
             off = end
         return off
 
-    def _apply_record(self, rec: dict) -> None:
-        version = rec["v"]
-        for table, key, row_json in rec["m"]:
-            key = tuple(key)
-            row = _row_from_json(table, row_json) if row_json is not None else None
+    def _apply(self, version: int, txn_id: int, wc: "float | None", mutations,
+               next_seq: "int | None" = None) -> None:
+        """Publish one record's (table, key, row-or-None) mutations at version
+        and move the counters past it. The only writer of the chains; callers
+        hold the mutex or, during replay, own the catalog alone."""
+        for table, key, row in mutations:
             self._chains[table].setdefault(key, []).append((version, row))
-            if table == MANIFESTS and row is not None and row.sequence_id is not None:
+            if row is None:
+                continue
+            if table == MANIFESTS and row.sequence_id is not None:
                 self._next_seq = max(self._next_seq, row.sequence_id + 1)
-            if table == TABLES and row is not None:
+            elif table == TABLES:
                 self._max_table_id = max(self._max_table_id, row.table_id)
+        if next_seq is not None:
+            # an import's counter: its manifest rows may not reach it any more
+            self._next_seq = max(self._next_seq, next_seq)
         self._version = max(self._version, version)
-        self._next_txn = max(self._next_txn, rec.get("txn", 0) + 1)
-        self._last_wc = max(self._last_wc, rec.get("wc") or 0.0)
+        self._next_txn = max(self._next_txn, txn_id + 1)
+        self._last_wc = max(self._last_wc, wc or 0.0)
 
-    def _append_journal(self, rec: dict) -> None:
-        if self._journal is None:
-            return
-        payload = json.dumps(rec, separators=(",", ":")).encode("utf-8")
-        self._journal.write(_U32.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload)))
-        self._journal.flush()
+    def _log(self, version: int, txn_id: int, wc: "float | None", mutations,
+             next_seq: "int | None" = None) -> None:
+        """Append and flush one journal record, then apply it. Keys keep the
+        order v, txn, wc, m, seq; wc and seq only when given."""
+        if self._journal is not None:
+            rec = {"v": version, "txn": txn_id}
+            if wc is not None:
+                rec["wc"] = wc
+            rec["m"] = [
+                [t, list(k), None if r is None else _row_to_json(t, r)] for t, k, r in mutations
+            ]
+            if next_seq is not None:
+                rec["seq"] = next_seq
+            payload = json.dumps(rec, separators=(",", ":")).encode("utf-8")
+            self._journal.write(_U32.pack(len(payload)) + payload + _U32.pack(zlib.crc32(payload)))
+            self._journal.flush()
+        self._apply(version, txn_id, wc, mutations, next_seq)
 
     def close(self) -> None:
         if self._journal is not None:
@@ -281,7 +310,7 @@ class Catalog:
         """
         with self._mutex:
             self._check_active(txn)
-            self._append_journal({"v": self._version, "txn": txn.txn_id, "m": []})
+            self._log(self._version, txn.txn_id, None, [])
 
     def adopt(self, txn_id: int, begin_version: int, isolation, read_set=()) -> CatalogTxn:
         """Re-attach a transaction persisted outside this process (CLI sessions)."""
@@ -300,21 +329,47 @@ class Catalog:
             raise TxnClosedError(f"catalog txn {txn.txn_id} is {txn.status}")
 
     def _read_version(self, txn: CatalogTxn) -> int:
-        # called with the catalog mutex held (get/read take it around the
-        # chain lookup), so it must not re-acquire it
+        # read takes the catalog mutex around this call, so it must not
+        # re-acquire it
         if txn.isolation is Isolation.RCSI:
             return self._version
         return txn.begin_version
 
     @staticmethod
     def _visible(chain: list, version: int):
-        """Last (version, row) entry at or below version, else None."""
+        """Last (version, row) entry at or below version, else None. It is
+        the chain's own tuple: _walk keeps one per visible row, and a fresh
+        tuple each would add thousands of allocations to every scan."""
         best = None
-        for v, row in chain:
-            if v > version:
+        for entry in chain:
+            if entry[0] > version:
                 break
-            best = (v, row)
+            best = entry
         return best
+
+    def _lookup(self, table: str, key: tuple, version: int):
+        """(version, row) of the key's row visible at version, else None
+        (absent or deleted). Callers hold the mutex."""
+        chain = self._chains[table].get(key)
+        entry = self._visible(chain, version) if chain else None
+        return entry if entry and entry[1] is not None else None
+
+    @classmethod
+    def _walk(cls, items, version: int, where: "dict | None" = None) -> dict:
+        """key -> (version, row) over (key, chain) items, for every row
+        visible at version that matches where."""
+        out = {}
+        for key, chain in items:
+            entry = cls._visible(chain, version)
+            if entry and entry[1] is not None and (not where or _matches(entry[1], where)):
+                out[key] = entry
+        return out
+
+    def _writeset_row(self, key: tuple, version: int) -> WriteSetsRow:
+        """A writeset upsert's row: the counter visible at version, plus one.
+        Callers hold the mutex."""
+        entry = self._lookup(WRITESETS, key, version)
+        return WriteSetsRow(key[0], key[1], (entry[1].updated if entry else 0) + 1)
 
     # ------------------------------------------------------------------
     # reads
@@ -333,10 +388,7 @@ class Catalog:
         pending = txn.writes.get((table, key))
         if pending is not None:
             return self._pending_row(txn, table, key, pending)
-        with self._mutex:
-            chain = self._chains[table].get(key)
-            entry = self._visible(chain, self._read_version(txn)) if chain else None
-        return entry[1] if entry else None
+        return self._committed_row(table, key, self._read_version(txn))
 
     def read(self, txn: CatalogTxn, table: str, where: "dict | None" = None,
              *, record: bool = True) -> list:
@@ -346,26 +398,19 @@ class Catalog:
         if record and txn.isolation is Isolation.SERIALIZABLE:
             token = tuple(sorted(where.items())) if where else None
             txn.read_set.add(("where", table, token))
-        out = {}
         with self._mutex:
             version = self._read_version(txn)
             items = list(self._chains[table].items())
-        for key, chain in items:
-            entry = self._visible(chain, version)
-            if entry and entry[1] is not None:
-                out[key] = entry[1]
+        out = self._walk(items, version, where)
         for (wtable, key), pending in txn.writes.items():
             if wtable != table:
                 continue
             row = self._pending_row(txn, table, key, pending)
-            if row is None:
+            if row is None or (where and not _matches(row, where)):
                 out.pop(key, None)
             else:
-                out[key] = row
-        rows = [out[k] for k in sorted(out)]
-        if where:
-            rows = [r for r in rows if all(getattr(r, f) == v for f, v in where.items())]
-        return rows
+                out[key] = (None, row)
+        return [out[k][1] for k in sorted(out)]
 
     def _pending_row(self, txn: CatalogTxn, table: str, key: tuple, pending):
         op, row = pending
@@ -374,14 +419,12 @@ class Catalog:
         if op == "del":
             return None
         # pending writesets upsert: surface the post-commit counter value
-        committed = self._committed_row(table, key, txn.begin_version)
-        base = committed.updated if committed else 0
-        return WriteSetsRow(key[0], key[1], base + 1)
+        with self._mutex:
+            return self._writeset_row(key, txn.begin_version)
 
     def _committed_row(self, table: str, key: tuple, version: int):
         with self._mutex:
-            chain = self._chains[table].get(key)
-        entry = self._visible(chain, version) if chain else None
+            entry = self._lookup(table, key, version)
         return entry[1] if entry else None
 
     # ------------------------------------------------------------------
@@ -439,88 +482,55 @@ class Catalog:
     def _eval_query(self, query, version: int) -> tuple:
         """Visible (key, version) pairs matched by a recorded read."""
         kind, table, token = query
-        hits = []
         if kind == "key":
-            chain = self._chains[table].get(token)
-            entry = self._visible(chain, version) if chain else None
-            if entry and entry[1] is not None:
-                hits.append((token, entry[0]))
-            return tuple(hits)
-        where = dict(token) if token else {}
-        for key, chain in self._chains[table].items():
-            entry = self._visible(chain, version)
-            if not entry or entry[1] is None:
-                continue
-            if all(getattr(entry[1], f) == v for f, v in where.items()):
-                hits.append((key, entry[0]))
-        return tuple(sorted(hits))
+            entry = self._lookup(table, token, version)
+            return ((token, entry[0]),) if entry else ()
+        visible = self._walk(self._chains[table].items(), version, dict(token or ()))
+        return tuple(sorted((key, v) for key, (v, _) in visible.items()))
 
     def commit(self, txn: CatalogTxn) -> CommitResult:
         """Validate and publish. Raises WWConflictError or
         SerializationFailureError after rolling the txn back; on success the
-        journal record is on disk before the new revision becomes visible."""
+        journal record is appended and flushed (not fsynced, see ROADMAP
+        item 1) before the new revision becomes visible."""
         self._check_active(txn)
-        if not txn.writes:
-            with self._mutex:
-                self._live.pop(txn.txn_id, None)
-                txn.status = COMMITTED
-                return CommitResult(self._version, None, {})
-        with self._commit_lock:
-            with self._mutex:
-                clash = self._ww_conflicts(txn)
-                if clash is None and txn.isolation is Isolation.SERIALIZABLE:
-                    for query in txn.read_set:
-                        then = self._eval_query(query, txn.begin_version)
-                        now_ = self._eval_query(query, self._version)
-                        if then != now_:
-                            self._rollback(txn)
-                            raise SerializationFailureError(
-                                f"read set changed since begin: {query[1]}"
-                            )
-                if clash is not None:
-                    self._rollback(txn)
-                    raise WWConflictError(f"write-write conflict on {clash}")
-                version = self._version + 1
-                wc = self._next_wallclock()
-                mutations = []
-                sequences = {}
-                for (table, key), (op, row) in txn.writes.items():
-                    if op == "del":
-                        final = None
-                    elif op == "ws":
-                        committed = self._chains[WRITESETS].get(key)
-                        entry = self._visible(committed, txn.begin_version) if committed else None
-                        base = entry[1].updated if entry and entry[1] else 0
-                        final = WriteSetsRow(key[0], key[1], base + 1)
-                    else:
-                        final = row
-                        if table == MANIFESTS and final.sequence_id is None:
-                            final = replace(
-                                final, sequence_id=self._next_seq, commit_wallclock=wc
-                            )
-                            self._next_seq += 1
-                            sequences[key] = final.sequence_id
-                        elif table == CHECKPOINTS and final.commit_wallclock is None:
-                            final = replace(final, commit_wallclock=wc)
-                        if table == TABLES:
-                            self._max_table_id = max(self._max_table_id, final.table_id)
-                    mutations.append((table, key, final))
-                self._append_journal(
-                    {
-                        "v": version,
-                        "txn": txn.txn_id,
-                        "wc": wc,
-                        "m": [
-                            [t, list(k), _row_to_json(t, r) if r is not None else None]
-                            for t, k, r in mutations
-                        ],
-                    }
-                )
-                for table, key, final in mutations:
-                    self._chains[table].setdefault(key, []).append((version, final))
-                self._version = version
+        with self._mutex:
+            if not txn.writes:
                 self._rollback(txn, COMMITTED)
-                return CommitResult(version, wc, sequences)
+                return CommitResult(self._version, None, {})
+            clash = self._ww_conflicts(txn)
+            if clash is None and txn.isolation is Isolation.SERIALIZABLE:
+                for query in txn.read_set:
+                    then = self._eval_query(query, txn.begin_version)
+                    now_ = self._eval_query(query, self._version)
+                    if then != now_:
+                        self._rollback(txn)
+                        raise SerializationFailureError(
+                            f"read set changed since begin: {query[1]}"
+                        )
+            if clash is not None:
+                self._rollback(txn)
+                raise WWConflictError(f"write-write conflict on {clash}")
+            version = self._version + 1
+            wc = self._next_wallclock()
+            seq = self._next_seq
+            mutations = []
+            sequences = {}
+            for (table, key), (op, row) in txn.writes.items():
+                if op == "del":
+                    row = None
+                elif op == "ws":
+                    row = self._writeset_row(key, txn.begin_version)
+                elif table == MANIFESTS and row.sequence_id is None:
+                    row = replace(row, sequence_id=seq, commit_wallclock=wc)
+                    sequences[key] = seq
+                    seq += 1
+                elif table == CHECKPOINTS and row.commit_wallclock is None:
+                    row = replace(row, commit_wallclock=wc)
+                mutations.append((table, key, row))
+            self._log(version, txn.txn_id, wc, mutations)
+            self._rollback(txn, COMMITTED)
+            return CommitResult(version, wc, sequences)
 
     def _rollback(self, txn: CatalogTxn, status: str = ABORTED) -> None:
         self._live.pop(txn.txn_id, None)
@@ -563,12 +573,8 @@ class Catalog:
             version = self._version
             rows = {}
             for table, chains in self._chains.items():
-                keep = []
-                for key in sorted(chains):
-                    entry = self._visible(chains[key], version)
-                    if entry and entry[1] is not None:
-                        keep.append(_row_to_json(table, entry[1]))
-                rows[table] = keep
+                visible = self._walk(chains.items(), version)
+                rows[table] = [_row_to_json(table, visible[k][1]) for k in sorted(visible)]
             payload = {
                 "version": version,
                 "next_seq": self._next_seq,
@@ -579,28 +585,18 @@ class Catalog:
 
     def import_snapshot(self, payload: bytes) -> None:
         """Load an exported snapshot into this (empty) catalog: read results
-        afterwards match the source catalog exactly."""
+        afterwards match the source catalog exactly. The record carries the
+        snapshot's next_seq, which its manifest rows may no longer reach once
+        pruning or a dropped table removed the newest ones."""
         with self._mutex:
             if self._version != 0 or any(self._chains[t] for t in self._chains):
                 raise DuplicateKeyError("import requires an empty catalog")
             data = json.loads(payload)
-            version = data["version"]
             mutations = []
             for table, rows in data["rows"].items():
                 for row_json in rows:
                     row = _row_from_json(table, row_json)
                     mutations.append((table, _key_of(table, row), row))
-            rec = {
-                "v": version,
-                "txn": data["next_txn"] - 1,  # replay restores next_txn exactly
-                "wc": self._next_wallclock(),
-                "m": [[t, list(k), _row_to_json(t, r)] for t, k, r in mutations],
-            }
-            self._append_journal(rec)
-            for table, key, row in mutations:
-                self._chains[table].setdefault(key, []).append((version, row))
-                if table == TABLES:
-                    self._max_table_id = max(self._max_table_id, row.table_id)
-            self._version = version
-            self._next_seq = data["next_seq"]
-            self._next_txn = data["next_txn"]
+            # txn is next_txn - 1, so replay restores next_txn exactly
+            self._log(data["version"], data["next_txn"] - 1, self._next_wallclock(),
+                      mutations, data["next_seq"])

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import manifest as mf
-from .catalog import CHECKPOINTS, MANIFESTS, TABLES, CheckpointsRow, Isolation
+from .catalog import ACTIVE, CHECKPOINTS, MANIFESTS, TABLES, CheckpointsRow, Isolation
 from .datafile import content_digest, created_rev_of, encode_data_file, file_meta_for
 from .errors import (
     AlreadyExistsError,
@@ -25,8 +25,6 @@ from .errors import (
     RetryableError,
 )
 from .txn import FILE
-
-ACTIVE = "active"
 
 # writer-stamped object names: x<txn>r<begin revision>...
 _STAMP_RE = re.compile(r"^x\d+r(\d+)")
@@ -83,12 +81,8 @@ class Maintenance:
             tdef = eng._resolve(ctx, table)
             tid = tdef.table_id
             state = eng.snapshots.state(ctx, tid)
-            rows = eng.catalog.read(ctx, MANIFESTS, where={"table_id": tid})
-            ckpt = max(
-                (c.upto_sequence for c in
-                 eng.catalog.read(ctx, CHECKPOINTS, where={"table_id": tid})),
-                default=0,
-            )
+            rows, ckpts = eng.snapshots.history(ctx, tid)
+            ckpt = max((c.upto_sequence for c in ckpts), default=0)
         finally:
             eng.catalog.abort(ctx)
         total = sum(lf.meta.row_count for lf in state.live.values())
@@ -262,11 +256,8 @@ class Maintenance:
         state = mf.empty_state(table_id)
         for path in eng.store.list_prefix(prefix):
             doc = json.loads(eng.store.get_object(path))
-            lines = b"".join(
-                json.dumps(a, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-                for a in doc["actions"]
-            )
-            state = mf.apply(state, mf.decode_manifest(lines), doc["sequence"])
+            actions = tuple(mf.action_from_json(a) for a in doc["actions"])
+            state = mf.apply(state, actions, doc["sequence"])
         return state
 
     # ------------------------------------------------------------------
@@ -307,14 +298,14 @@ class Maintenance:
                     active.add(lf.meta.path)
                     if lf.dv is not None:
                         active.add(lf.dv.path)
-                for mrow in eng.snapshots.visible_manifests(ctx, tid):
+                rows, ckpts = eng.snapshots.history(ctx, tid)
+                for mrow in rows:
                     active.add(mrow.manifest_path)
                     wc = mrow.commit_wallclock if mrow.commit_wallclock is not None else now
                     for act in eng.snapshots.load_manifest(mrow):
                         if act.kind in (mf.REMOVE, mf.REMOVE_DV):
                             removed_at[act.path] = max(removed_at.get(act.path, 0.0), wc)
-                for crow in cat.read(ctx, CHECKPOINTS, where={"table_id": tid}, record=False):
-                    active.add(crow.path)
+                active.update(crow.path for crow in ckpts)
         finally:
             cat.abort(ctx)
 
@@ -368,10 +359,7 @@ class Maintenance:
             wrote = False
             for trow in cat.read(ctx, TABLES):
                 tid = trow.table_id
-                ckpts = cat.read(ctx, CHECKPOINTS, where={"table_id": tid}, record=False)
-                if not ckpts:
-                    continue
-                rows = cat.read(ctx, MANIFESTS, where={"table_id": tid})
+                rows, ckpts = eng.snapshots.history(ctx, tid)
                 # largest checkpoint boundary whose whole prefix has aged out
                 bound = 0
                 for upto in sorted(c.upto_sequence for c in ckpts):

@@ -113,6 +113,25 @@ def encode_actions(actions) -> bytes:
     return ("".join(line + "\n" for line in lines)).encode("utf-8")
 
 
+def action_from_json(rec) -> Action:
+    """One decoded manifest line (or published log action) as an Action;
+    any malformed field raises CorruptManifestError."""
+    try:
+        kind = rec["a"]
+        meta = None
+        if kind == ADD:
+            meta = DataFileMeta.from_json(rec["m"])
+        elif kind in (ADD_DV, REMOVE_DV):
+            meta = DvMeta.from_json(rec["m"])
+        elif kind != REMOVE:
+            raise CorruptManifestError(f"unknown action {kind!r}")
+        return Action(kind, rec["f"], meta)
+    except CorruptManifestError:
+        raise
+    except (ValueError, KeyError, TypeError, ManifestError) as exc:
+        raise CorruptManifestError(str(exc)) from None
+
+
 def decode_manifest(data: bytes) -> tuple:
     """Inverse of encode_actions over any block concatenation order."""
     actions = []
@@ -120,19 +139,8 @@ def decode_manifest(data: bytes) -> tuple:
         if not line:
             continue
         try:
-            rec = json.loads(line)
-            kind = rec["a"]
-            meta = None
-            if kind == ADD:
-                meta = DataFileMeta.from_json(rec["m"])
-            elif kind in (ADD_DV, REMOVE_DV):
-                meta = DvMeta.from_json(rec["m"])
-            elif kind != REMOVE:
-                raise CorruptManifestError(f"line {lineno}: unknown action {kind!r}")
-            actions.append(Action(kind, rec["f"], meta))
-        except CorruptManifestError:
-            raise
-        except (ValueError, KeyError, TypeError, ManifestError) as exc:
+            actions.append(action_from_json(json.loads(line)))
+        except (ValueError, CorruptManifestError) as exc:
             raise CorruptManifestError(f"line {lineno}: {exc}") from None
     return tuple(actions)
 
@@ -351,6 +359,16 @@ class SnapshotManager:
             ) from None
         return decode_manifest(raw)
 
+    def history(self, ctx, table_id: int, *, record: bool = True) -> tuple:
+        """(visible manifest rows in sequence order, checkpoint rows) of one
+        table: the one read of a table's history. Checkpoint rows are
+        bookkeeping that only shortens replay and carries no user-visible
+        information, so they stay out of SERIALIZABLE read sets."""
+        rows = self.visible_manifests(ctx, table_id, record=record)
+        ckpts = self.catalog.read(ctx, "checkpoints", where={"table_id": table_id},
+                                  record=False)
+        return rows, ckpts
+
     def _cached_base(self, table_id: int, target: int) -> "TableState | None":
         best = None
         with self._mutex:
@@ -358,15 +376,6 @@ class SnapshotManager:
                 if tid == table_id and seq <= target and (best is None or seq > best.sequence):
                     best = state
         return best
-
-    def _best_checkpoint(self, ctx, table_id: int, bound: "int | None"):
-        # bookkeeping read: checkpoints only shorten replay, they carry no
-        # user-visible information, so they stay out of SERIALIZABLE read sets
-        rows = self.catalog.read(ctx, "checkpoints", where={"table_id": table_id},
-                                 record=False)
-        if bound is not None:
-            rows = [r for r in rows if r.upto_sequence <= bound]
-        return max(rows, key=lambda r: r.upto_sequence) if rows else None
 
     def _load_checkpoint(self, row, table_id: int) -> TableState:
         state, _ = decode_checkpoint(self.store.get_object(row.path))
@@ -376,8 +385,10 @@ class SnapshotManager:
 
     def state(self, ctx, table_id: int, upto: "int | None" = None,
               *, record: bool = True) -> TableState:
-        rows = self.visible_manifests(ctx, table_id, upto, record=record)
-        ckpt_row = self._best_checkpoint(ctx, table_id, upto)
+        all_rows, ckpts = self.history(ctx, table_id, record=record)
+        rows = all_rows if upto is None else [r for r in all_rows if r.sequence_id <= upto]
+        ckpt_row = max((c for c in ckpts if upto is None or c.upto_sequence <= upto),
+                       key=lambda c: c.upto_sequence, default=None)
         # once history below a checkpoint is pruned, the checkpoint may sit
         # above every remaining manifest row; it still defines the state
         target = rows[-1].sequence_id if rows else 0
@@ -388,8 +399,7 @@ class SnapshotManager:
         if hit is not None:
             return hit
         if upto is not None:
-            all_rows = self.visible_manifests(ctx, table_id, record=False)
-            floor = self._pruning_floor(ctx, table_id, all_rows)
+            floor = _pruning_floor(all_rows, ckpts)
             if upto < floor:
                 raise SequenceGapError(
                     f"table {table_id}: state at sequence {upto} is below the "
@@ -418,8 +428,8 @@ class SnapshotManager:
         now = time.time() if now is None else now
         # historical reads are stable regardless of serialization order, so
         # they are never recorded for SERIALIZABLE validation
-        rows = self.visible_manifests(ctx, table_id, record=False)
-        floor = self._pruning_floor(ctx, table_id, rows)
+        rows, ckpts = self.history(ctx, table_id, record=False)
+        floor = _pruning_floor(rows, ckpts)
         horizon = now - retention_seconds
         if isinstance(point, bool) or not isinstance(point, (int, float)):
             raise ValueError(f"as-of point must be a sequence or timestamp: {point!r}")
@@ -448,20 +458,14 @@ class SnapshotManager:
         tied = [r.sequence_id for r in candidates if r.commit_wallclock == top_wc]
         return min(tied)
 
-    def _pruning_floor(self, ctx, table_id: int, rows) -> int:
-        """Earliest sequence whose state is still reconstructible. 0 until
-        garbage collection prunes manifest rows; after that, the boundary
-        checkpoint it left behind. A checkpoint's upto always equals one of
-        the table's historical row sequences and pruning removes a prefix
-        ending exactly at a surviving checkpoint, so the floor is the highest
-        checkpoint that no surviving row precedes or meets."""
-        ckpts = self.catalog.read(ctx, "checkpoints", where={"table_id": table_id},
-                                  record=False)
-        if not ckpts:
-            return 0
-        first = rows[0].sequence_id if rows else None
-        floor = 0
-        for upto in (c.upto_sequence for c in ckpts):
-            if first is None or upto < first:
-                floor = max(floor, upto)
-        return floor
+
+def _pruning_floor(rows, ckpts) -> int:
+    """Earliest sequence whose state is still reconstructible, from a table's
+    history. 0 until garbage collection prunes manifest rows; after that, the
+    boundary checkpoint it left behind. A checkpoint's upto always equals one
+    of the table's historical row sequences and pruning removes a prefix
+    ending exactly at a surviving checkpoint, so the floor is the highest
+    checkpoint that no surviving row precedes or meets."""
+    first = rows[0].sequence_id if rows else None
+    return max((c.upto_sequence for c in ckpts if first is None or c.upto_sequence < first),
+               default=0)

@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 from . import manifest as mf
 from .catalog import (
+    ABORTED,
+    ACTIVE,
     CHECKPOINTS,
+    COMMITTED,
     MANIFESTS,
     TABLES,
     WHOLE_TABLE,
@@ -177,11 +180,6 @@ class EngineConfig:
     write_workers: int = 1
     read_workers: int = 1
     auto_maintenance: bool = False
-
-
-ACTIVE = "active"
-COMMITTED = "committed"
-ABORTED = "aborted"
 
 
 class Txn:
@@ -521,8 +519,20 @@ class Engine:
             txn.manifests[tid] = ()
             txn.manifest_paths.pop(tid, None)
 
-    def _insert_task(self, txn: Txn, tdef: TableDef, stmt: int, index: int,
-                     bucket: int, rows: tuple, task_id: str) -> Task:
+    def _insert_tasks(self, txn: Txn, tdef: TableDef, stmt: int, buckets,
+                      base: int = 0) -> list:
+        """One insert task per non-empty distribution bucket, numbered on
+        from base (an update's mask tasks come first)."""
+        tasks = []
+        for bucket, brows in enumerate(buckets):
+            if brows:
+                index = base + len(tasks)
+                tasks.append(self._insert_task(txn, tdef, stmt, bucket, tuple(brows),
+                                               f"{txn.guid}s{stmt}.{index:03d}"))
+        return tasks
+
+    def _insert_task(self, txn: Txn, tdef: TableDef, stmt: int, bucket: int,
+                     rows: tuple, task_id: str) -> Task:
         schema = tdef.schema
         mpath = self.manifest_path(txn, tdef.table_id)
         created_rev = txn.ctx.begin_version
@@ -553,14 +563,7 @@ class Engine:
             tdef.distribution_key, tdef.partition_key,
         )
         stmt = txn.next_stmt()
-        tasks = []
-        for bucket, brows in enumerate(buckets):
-            if not brows:
-                continue
-            task_id = f"{txn.guid}s{stmt}.{len(tasks):03d}"
-            tasks.append(self._insert_task(txn, tdef, stmt, len(tasks), bucket,
-                                           tuple(brows), task_id))
-        results = self.dcp.run_tasks(tasks)
+        results = self.dcp.run_tasks(self._insert_tasks(txn, tdef, stmt, buckets))
         self._apply_statement(txn, tdef, stmt, results)
         return len(coerced)
 
@@ -620,64 +623,53 @@ class Engine:
 
         return Task(task_id, "write", fn, cells=((tdef.table_id, "f", meta.path),))
 
-    def delete(self, txn: Txn, table, predicate) -> int:
+    def _mask_statement(self, txn: Txn, table, predicate, set_clause=None):
+        """Shared by delete and update: resolve the table, check the predicate
+        (and an update's assignments), then run one mask task per live file
+        the predicate can match. Returns (tdef, stmt, results), or None when
+        no file can match; then no statement number is used."""
         self._check_active(txn)
         tdef = self._resolve(txn.ctx, table)
         conds = normalize_predicate(tdef.schema, predicate)
+        if set_clause is not None:
+            if not set_clause:
+                raise SchemaError("update needs at least one assignment")
+            for col in set_clause:
+                tdef.schema.index_of(col)  # unknown-column check; values coerce on re-insert
         state = self._table_state(txn, tdef)
         candidates = [lf for lf in state.live.values() if file_can_match(lf.meta, conds)]
         if not candidates:
-            return 0
+            return None
         stmt = txn.next_stmt()
         tasks = [
             self._mask_task(txn, tdef, stmt, i, lf, conds,
-                            f"{txn.guid}s{stmt}.{i:03d}")
+                            f"{txn.guid}s{stmt}.{i:03d}", set_clause)
             for i, lf in enumerate(candidates)
         ]
-        results = self.dcp.run_tasks(tasks)
+        return tdef, stmt, list(self.dcp.run_tasks(tasks))
+
+    def delete(self, txn: Txn, table, predicate) -> int:
+        masked = self._mask_statement(txn, table, predicate)
+        if masked is None:
+            return 0
+        tdef, stmt, results = masked
         self._apply_statement(txn, tdef, stmt, results)
         return sum(r.value[0] for r in results)
 
     def update(self, txn: Txn, table, set_clause: dict, predicate) -> int:
         """Delete the matched row versions and re-insert rewritten ones, all
         inside one statement (one manifest reconcile)."""
-        self._check_active(txn)
-        tdef = self._resolve(txn.ctx, table)
-        schema = tdef.schema
-        conds = normalize_predicate(tdef.schema, predicate)
-        if not set_clause:
-            raise SchemaError("update needs at least one assignment")
-        fixed = {}
-        for col, value in set_clause.items():
-            schema.index_of(col)  # unknown-column check; values coerce on re-insert
-            fixed[col] = value
-        state = self._table_state(txn, tdef)
-        candidates = [lf for lf in state.live.values() if file_can_match(lf.meta, conds)]
-        if not candidates:
+        masked = self._mask_statement(txn, table, predicate, set_clause or {})
+        if masked is None:
             return 0
-        stmt = txn.next_stmt()
-        mask_tasks = [
-            self._mask_task(txn, tdef, stmt, i, lf, conds,
-                            f"{txn.guid}s{stmt}.{i:03d}", set_clause=fixed)
-            for i, lf in enumerate(candidates)
-        ]
-        results = list(self.dcp.run_tasks(mask_tasks))
-        new_rows = [schema.coerce_row(r) for res in results for r in res.value[1]]
+        tdef, stmt, results = masked
         count = sum(r.value[0] for r in results)
+        new_rows = [tdef.schema.coerce_row(r) for res in results for r in res.value[1]]
         if new_rows:
-            buckets = distribute(schema, new_rows, tdef.distribution_count,
+            buckets = distribute(tdef.schema, new_rows, tdef.distribution_count,
                                  tdef.distribution_key, tdef.partition_key)
-            base = len(mask_tasks)
-            insert_tasks = []
-            for bucket, brows in enumerate(buckets):
-                if not brows:
-                    continue
-                task_id = f"{txn.guid}s{stmt}.{base + len(insert_tasks):03d}"
-                insert_tasks.append(
-                    self._insert_task(txn, tdef, stmt, base + len(insert_tasks),
-                                      bucket, tuple(brows), task_id)
-                )
-            results.extend(self.dcp.run_tasks(insert_tasks))
+            results += self.dcp.run_tasks(
+                self._insert_tasks(txn, tdef, stmt, buckets, len(results)))
         self._apply_statement(txn, tdef, stmt, results)
         return count
 

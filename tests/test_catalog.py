@@ -1,6 +1,7 @@
 """Catalog MVCC: snapshot visibility, first-committer-wins, serializable
 read validation, journal durability, gap-free sequence assignment."""
 
+import json
 import os
 import threading
 
@@ -257,7 +258,7 @@ def test_sequences_are_gap_free_across_tables(cat):
     assert seqs == [1, 2, 3, 4, 5, 6]
 
 
-def test_sequences_under_concurrent_commits(cat):
+def test_sequences_under_concurrent_commits(tmp_path, cat):
     won = []
     lock = threading.Lock()
 
@@ -274,6 +275,13 @@ def test_sequences_under_concurrent_commits(cat):
     for th in threads:
         th.join()
     assert sorted(won) == list(range(1, 21))
+    # journal order equals apply order: a reopened catalog replays to the
+    # same rows and counters
+    live = cat.export_snapshot()
+    cat.close()
+    reopened = Catalog(str(tmp_path / "catalog.journal"))
+    assert reopened.export_snapshot() == live
+    reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +457,31 @@ def test_export_import_roundtrip(tmp_path, cat):
 
     with pytest.raises(DuplicateKeyError):
         cat.import_snapshot(blob)  # not empty
+
+
+def test_import_keeps_next_sequence_past_deleted_rows(tmp_path, cat):
+    # once the newest manifest row is gone (pruned history, a dropped table)
+    # the rows no longer imply next_seq; replay of the import must keep it
+    t = cat.begin()
+    cat.insert(t, MANIFESTS, mrow(1, "m1"))
+    cat.insert(t, MANIFESTS, mrow(1, "m2"))
+    cat.commit(t)
+    t2 = cat.begin()
+    cat.delete(t2, MANIFESTS, (1, "m2"))
+    cat.commit(t2)
+    blob = cat.export_snapshot()
+
+    path = str(tmp_path / "other.journal")
+    other = Catalog(path)
+    other.import_snapshot(blob)
+    other.close()
+    reopened = Catalog(path)
+    assert reopened.export_snapshot() == blob
+    t3 = reopened.begin()
+    reopened.insert(t3, MANIFESTS, mrow(1, "m3"))
+    res = reopened.commit(t3)
+    assert res.sequences[(1, "m3")] == json.loads(blob)["next_seq"] == 3
+    reopened.close()
 
 
 def test_adopt_attaches_foreign_txn(cat):

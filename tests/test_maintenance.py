@@ -1,11 +1,13 @@
 """Maintenance jobs: health probes, compaction, checkpoints, publishing,
 garbage collection, and the background upkeep worker."""
 
+import shutil
 import time
 
 import pytest
 
 from lstx import (
+    Engine,
     Isolation,
     OutOfRetentionError,
     WWConflictError,
@@ -393,6 +395,27 @@ def test_gc_report_counts_are_consistent(engine):
     listed = len(engine.store.list_prefix(engine.workspace))
     assert report.kept_active + report.kept_recent == listed
     assert report.deleted == []
+
+
+def test_import_after_pruning_continues_sequences(engine, tmp_path):
+    t = engine.create_table("t", COLS)
+    for i in range(3):
+        put_rows(engine, t, seed_rows(1, start=i))
+    engine.maintenance.checkpoint(t)
+    report = engine.maintenance.garbage_collect(retention_seconds=0)
+    assert len(report.pruned_manifest_rows) == 3  # every row that implied next_seq
+    blob = engine.catalog.export_snapshot()
+
+    root = tmp_path / "imported"
+    shutil.copytree(engine.store.root, root / "objects")
+    with Engine(str(root), config=fast_config()) as fresh:
+        fresh.catalog.import_snapshot(blob)
+    with Engine(str(root), config=fast_config()) as reopened:
+        outcome = put_rows(reopened, "t", seed_rows(1, start=3))
+        assert outcome.sequences[t.table_id] == 4  # above the imported checkpoint
+        x = reopened.begin_transaction("si")
+        assert x.scan("t", aggregate="count") == 4
+        x.abort()
 
 
 # ---------------------------------------------------------------------------
