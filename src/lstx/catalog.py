@@ -7,6 +7,14 @@ replays the journal. Commit, reserve, import and replay all put records into
 the chains through one function, ``_apply``, and every visible-row scan goes
 through one walk, ``_walk``.
 
+Each row class (``ManifestsRow``, ``WriteSetsRow``, ``CheckpointsRow``,
+``TablesRow``) is the one definition of its row: its ``key`` property is the
+row's key and its JSON is its dataclass fields in declaration order. Every
+catalog transaction the engine opens for itself runs in one scope,
+``Catalog.transaction``, which aborts it unless the block committed it;
+compaction, which writes data files, runs an engine ``Txn`` whose with-block
+closes it the same way.
+
 Concurrency model: optimistic snapshot isolation. Reads never block; a commit
 takes the catalog's one lock, validates first-committer-wins on its write set
 (plus read validation under SERIALIZABLE), assigns the next revision and, for
@@ -18,6 +26,7 @@ performs no storage I/O other than the journal append.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import os
@@ -26,7 +35,9 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
+from .datafile import Schema
 from .errors import (
     DuplicateKeyError,
     NotFoundError,
@@ -60,6 +71,20 @@ class Isolation(enum.Enum):
             raise ValueError(f"unknown isolation level: {text}") from None
 
 
+def _row(cls):
+    """Finish one of the four catalog row classes, each the one definition of
+    its row: its ``key`` property is the row's key, and the journal and export
+    JSON of a row is its dataclass fields in declaration order, decoded by
+    ``RowType(**data)``. The encoder is compiled once per class from the
+    field names, as @dataclass compiles __init__: commit encodes every mutated
+    row under the catalog lock, where a loop over the names costs twice as
+    much, and vars(row) would also carry a memoised TablesRow.schema."""
+    items = ", ".join(f"{name!r}: row.{name}" for name in cls.__dataclass_fields__)
+    cls.to_json = eval(f"lambda row: {{{items}}}")
+    return cls
+
+
+@_row
 @dataclass(frozen=True)
 class ManifestsRow:
     """One committed transaction manifest of one table.
@@ -74,7 +99,12 @@ class ManifestsRow:
     transaction_id: int = 0
     commit_wallclock: "float | None" = None
 
+    @property
+    def key(self) -> tuple:
+        return (self.table_id, self.manifest_path)
 
+
+@_row
 @dataclass(frozen=True)
 class WriteSetsRow:
     """Conflict-detection key. file_name is a data file path or WHOLE_TABLE."""
@@ -83,7 +113,12 @@ class WriteSetsRow:
     file_name: str
     updated: int = 0
 
+    @property
+    def key(self) -> tuple:
+        return (self.table_id, self.file_name)
 
+
+@_row
 @dataclass(frozen=True)
 class CheckpointsRow:
     table_id: int
@@ -91,9 +126,16 @@ class CheckpointsRow:
     path: str
     commit_wallclock: "float | None" = None
 
+    @property
+    def key(self) -> tuple:
+        return (self.table_id, self.upto_sequence)
 
+
+@_row
 @dataclass(frozen=True)
 class TablesRow:
+    """One table definition; the engine hands it out as ``TableDef``."""
+
     table_id: int
     name: str
     columns: tuple  # ((name, type), ...)
@@ -101,17 +143,20 @@ class TablesRow:
     partition_key: "tuple | None" = None
     distribution_key: "tuple | None" = None
 
+    @property
+    def key(self) -> tuple:
+        return (self.table_id,)
 
-def _key_of(table: str, row) -> tuple:
-    if table == MANIFESTS:
-        return (row.table_id, row.manifest_path)
-    if table == WRITESETS:
-        return (row.table_id, row.file_name)
-    if table == CHECKPOINTS:
-        return (row.table_id, row.upto_sequence)
-    if table == TABLES:
-        return (row.table_id,)
-    raise KeyError(table)
+    def __post_init__(self):
+        # JSON decodes tuples as lists; an empty key list means no key
+        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
+        for name in ("partition_key", "distribution_key"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(value) if value else None)
+
+    @cached_property
+    def schema(self) -> Schema:
+        return Schema.from_json(self.columns)
 
 
 _ROW_TYPES = {
@@ -120,49 +165,6 @@ _ROW_TYPES = {
     CHECKPOINTS: CheckpointsRow,
     TABLES: TablesRow,
 }
-
-
-def _row_to_json(table: str, row) -> dict:
-    if table == MANIFESTS:
-        return {
-            "table_id": row.table_id,
-            "manifest_path": row.manifest_path,
-            "sequence_id": row.sequence_id,
-            "transaction_id": row.transaction_id,
-            "commit_wallclock": row.commit_wallclock,
-        }
-    if table == WRITESETS:
-        return {"table_id": row.table_id, "file_name": row.file_name, "updated": row.updated}
-    if table == CHECKPOINTS:
-        return {
-            "table_id": row.table_id,
-            "upto_sequence": row.upto_sequence,
-            "path": row.path,
-            "commit_wallclock": row.commit_wallclock,
-        }
-    if table == TABLES:
-        return {
-            "table_id": row.table_id,
-            "name": row.name,
-            "columns": [list(c) for c in row.columns],
-            "distribution_count": row.distribution_count,
-            "partition_key": list(row.partition_key) if row.partition_key else None,
-            "distribution_key": list(row.distribution_key) if row.distribution_key else None,
-        }
-    raise KeyError(table)
-
-
-def _row_from_json(table: str, data: dict):
-    if table == TABLES:
-        return TablesRow(
-            table_id=data["table_id"],
-            name=data["name"],
-            columns=tuple(tuple(c) for c in data["columns"]),
-            distribution_count=data["distribution_count"],
-            partition_key=tuple(data["partition_key"]) if data["partition_key"] else None,
-            distribution_key=tuple(data["distribution_key"]) if data["distribution_key"] else None,
-        )
-    return _ROW_TYPES[table](**data)
 
 
 def _matches(row, where: dict) -> bool:
@@ -238,7 +240,7 @@ class Catalog:
                 break  # corrupt tail, stop replay here
             rec = json.loads(payload)
             mutations = [
-                (table, tuple(key), None if data is None else _row_from_json(table, data))
+                (table, tuple(key), None if data is None else _ROW_TYPES[table](**data))
                 for table, key, data in rec["m"]
             ]
             self._apply(rec["v"], rec.get("txn", 0), rec.get("wc"), mutations, rec.get("seq"))
@@ -274,7 +276,7 @@ class Catalog:
             if wc is not None:
                 rec["wc"] = wc
             rec["m"] = [
-                [t, list(k), None if r is None else _row_to_json(t, r)] for t, k, r in mutations
+                [t, list(k), None if r is None else r.to_json()] for t, k, r in mutations
             ]
             if next_seq is not None:
                 rec["seq"] = next_seq
@@ -435,7 +437,7 @@ class Catalog:
         concurrent committed insert of the same key surfaces as a WW conflict
         at commit time."""
         self._check_active(txn)
-        key = _key_of(table, row)
+        key = row.key
         pending = txn.writes.get((table, key))
         if pending is not None and pending[0] != "del":
             raise DuplicateKeyError(f"{table}{key} already written in this txn")
@@ -543,6 +545,19 @@ class Catalog:
         with self._mutex:
             self._rollback(txn)
 
+    @contextlib.contextmanager
+    def transaction(self):
+        """Scope of every catalog transaction the engine opens for itself:
+        begins a snapshot-isolation one and, however the block ends, aborts it
+        if it is still active, so none stays live and holds back
+        min_live_begin."""
+        txn = self.begin(Isolation.SI)
+        try:
+            yield txn
+        finally:
+            if txn.status == ACTIVE:
+                self.abort(txn)
+
     def _next_wallclock(self) -> float:
         # strictly increasing so timestamp resolution is never ambiguous
         wc = max(time.time(), self._last_wc + 1e-6)
@@ -562,10 +577,9 @@ class Catalog:
         with self._mutex:
             return self._max_table_id
 
-    def min_live_begin(self, exclude: "int | None" = None) -> "int | None":
+    def min_live_begin(self) -> "int | None":
         with self._mutex:
-            begins = [v for t, v in self._live.items() if t != exclude]
-        return min(begins) if begins else None
+            return min(self._live.values(), default=None)
 
     def export_snapshot(self) -> bytes:
         """Latest committed rows of every table plus counters, as JSON bytes."""
@@ -574,7 +588,7 @@ class Catalog:
             rows = {}
             for table, chains in self._chains.items():
                 visible = self._walk(chains.items(), version)
-                rows[table] = [_row_to_json(table, visible[k][1]) for k in sorted(visible)]
+                rows[table] = [visible[k][1].to_json() for k in sorted(visible)]
             payload = {
                 "version": version,
                 "next_seq": self._next_seq,
@@ -595,8 +609,8 @@ class Catalog:
             mutations = []
             for table, rows in data["rows"].items():
                 for row_json in rows:
-                    row = _row_from_json(table, row_json)
-                    mutations.append((table, _key_of(table, row), row))
+                    row = _ROW_TYPES[table](**row_json)
+                    mutations.append((table, row.key, row))
             # txn is next_txn - 1, so replay restores next_txn exactly
             self._log(data["version"], data["next_txn"] - 1, self._next_wallclock(),
                       mutations, data["next_seq"])

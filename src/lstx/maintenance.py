@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import manifest as mf
-from .catalog import ACTIVE, CHECKPOINTS, MANIFESTS, TABLES, CheckpointsRow, Isolation
+from .catalog import CHECKPOINTS, MANIFESTS, TABLES, CheckpointsRow
 from .datafile import content_digest, created_rev_of, encode_data_file, file_meta_for
 from .errors import (
     AlreadyExistsError,
@@ -76,15 +76,12 @@ class Maintenance:
     def health(self, table) -> TableHealth:
         eng = self.engine
         cfg = eng.config
-        ctx = eng.catalog.begin(Isolation.SI)
-        try:
+        with eng.catalog.transaction() as ctx:
             tdef = eng._resolve(ctx, table)
             tid = tdef.table_id
             state = eng.snapshots.state(ctx, tid)
             rows, ckpts = eng.snapshots.history(ctx, tid)
             ckpt = max((c.upto_sequence for c in ckpts), default=0)
-        finally:
-            eng.catalog.abort(ctx)
         total = sum(lf.meta.row_count for lf in state.live.values())
         visible = state.visible_row_count()
         deleted = total - visible
@@ -125,8 +122,7 @@ class Maintenance:
         """
         eng = self.engine
         cfg = eng.config
-        txn = eng.begin_transaction("si", granularity=FILE)
-        try:
+        with eng.begin_transaction("si", granularity=FILE) as txn:
             tdef = eng._resolve(txn.ctx, table)
             state = eng._table_state(txn, tdef)
             heavy, small = [], []
@@ -141,7 +137,6 @@ class Maintenance:
             else:
                 selected = heavy + (small if len(small) >= cfg.small_file_trigger else [])
             if not selected:
-                eng.abort(txn)
                 return None
             chosen = {lf.meta.path for lf in selected}
             ordered = [lf for lf in state.live.values() if lf.meta.path in chosen]
@@ -178,10 +173,6 @@ class Maintenance:
                 rows_rewritten=len(survivors),
                 sequence=outcome.sequences[tdef.table_id],
             )
-        except Exception:
-            if txn.status == ACTIVE:
-                eng.abort(txn)
-            raise
 
     # ------------------------------------------------------------------
 
@@ -190,32 +181,28 @@ class Maintenance:
         from the full manifest history. No-op if the latest sequence is already
         checkpointed. Touches no conflict keys, so it never aborts a writer."""
         eng = self.engine
-        ctx = eng.catalog.begin(Isolation.SI)
         try:
-            tdef = eng._resolve(ctx, table)
-            tid = tdef.table_id
-            state = eng.snapshots.state(ctx, tid)
-            upto = state.sequence
-            if upto == 0 or eng.catalog.get(ctx, CHECKPOINTS, (tid, upto), record=False):
-                eng.catalog.abort(ctx)
-                return None
-            path = f"{eng.table_dir(tid)}/checkpoints/{upto:012d}.ckpt"
-            payload = mf.encode_checkpoint(state, ctx.begin_version)
-            try:
-                eng.store.put_object(path, payload)
-            except AlreadyExistsError:
-                other, _ = mf.decode_checkpoint(eng.store.get_object(path))
-                if other != state:
-                    raise CorruptFileError(f"checkpoint collision with different state: {path}")
-            eng.catalog.insert(ctx, CHECKPOINTS, CheckpointsRow(tid, upto, path))
-            eng.catalog.commit(ctx)
-            return path
+            with eng.catalog.transaction() as ctx:
+                tdef = eng._resolve(ctx, table)
+                tid = tdef.table_id
+                state = eng.snapshots.state(ctx, tid)
+                upto = state.sequence
+                if upto == 0 or eng.catalog.get(ctx, CHECKPOINTS, (tid, upto), record=False):
+                    return None
+                path = f"{eng.table_dir(tid)}/checkpoints/{upto:012d}.ckpt"
+                payload = mf.encode_checkpoint(state, ctx.begin_version)
+                try:
+                    eng.store.put_object(path, payload)
+                except AlreadyExistsError:
+                    other, _ = mf.decode_checkpoint(eng.store.get_object(path))
+                    if other != state:
+                        raise CorruptFileError(
+                            f"checkpoint collision with different state: {path}")
+                eng.catalog.insert(ctx, CHECKPOINTS, CheckpointsRow(tid, upto, path))
+                eng.catalog.commit(ctx)
+                return path
         except RetryableError:
             return None  # a concurrent job checkpointed the same sequence
-        except Exception:
-            if ctx.status == ACTIVE:
-                eng.catalog.abort(ctx)
-            raise
 
     # ------------------------------------------------------------------
 
@@ -224,13 +211,10 @@ class Maintenance:
         external readers can tail without catalog access. Idempotent; returns
         the log paths written by this call."""
         eng = self.engine
-        ctx = eng.catalog.begin(Isolation.SI)
-        try:
+        with eng.catalog.transaction() as ctx:
             tdef = eng._resolve(ctx, table)
             tid = tdef.table_id
             rows = eng.snapshots.visible_manifests(ctx, tid)
-        finally:
-            eng.catalog.abort(ctx)
         written = []
         for row in rows:
             lpath = f"{eng.table_dir(tid)}/publish/_log/{row.sequence_id:020d}.json"
@@ -289,8 +273,7 @@ class Maintenance:
 
         active: set = set()
         removed_at: dict = {}
-        ctx = cat.begin(Isolation.SI)
-        try:
+        with cat.transaction() as ctx:
             for trow in cat.read(ctx, TABLES):
                 tid = trow.table_id
                 state = eng.snapshots.state(ctx, tid)
@@ -306,8 +289,6 @@ class Maintenance:
                         if act.kind in (mf.REMOVE, mf.REMOVE_DV):
                             removed_at[act.path] = max(removed_at.get(act.path, 0.0), wc)
                 active.update(crow.path for crow in ckpts)
-        finally:
-            cat.abort(ctx)
 
         floor = cat.min_live_begin()
         min_begin = cat.version + 1 if floor is None else floor
@@ -354,40 +335,30 @@ class Maintenance:
         def aged(wallclock) -> bool:
             return wallclock is not None and now - wallclock > retention
 
-        ctx = cat.begin(Isolation.SI)
         try:
-            wrote = False
-            for trow in cat.read(ctx, TABLES):
-                tid = trow.table_id
-                rows, ckpts = eng.snapshots.history(ctx, tid)
-                # largest checkpoint boundary whose whole prefix has aged out
-                bound = 0
-                for upto in sorted(c.upto_sequence for c in ckpts):
-                    if all(aged(r.commit_wallclock) for r in rows if r.sequence_id <= upto):
-                        bound = upto
-                if bound == 0:
-                    continue
-                for mrow in rows:
-                    if mrow.sequence_id <= bound:
-                        cat.delete(ctx, MANIFESTS, (tid, mrow.manifest_path))
-                        report.pruned_manifest_rows.append((tid, mrow.manifest_path))
-                        wrote = True
-                for crow in ckpts:
-                    if crow.upto_sequence < bound:
-                        cat.delete(ctx, CHECKPOINTS, (tid, crow.upto_sequence))
-                        report.pruned_checkpoint_rows.append((tid, crow.upto_sequence))
-                        wrote = True
-            if wrote:
-                cat.commit(ctx)
-            else:
-                cat.abort(ctx)
+            with cat.transaction() as ctx:
+                for trow in cat.read(ctx, TABLES):
+                    rows, ckpts = eng.snapshots.history(ctx, trow.table_id)
+                    # largest checkpoint boundary whose whole prefix has aged out
+                    bound = 0
+                    for upto in sorted(c.upto_sequence for c in ckpts):
+                        if all(aged(r.commit_wallclock) for r in rows if r.sequence_id <= upto):
+                            bound = upto
+                    if bound == 0:
+                        continue
+                    for mrow in rows:
+                        if mrow.sequence_id <= bound:
+                            cat.delete(ctx, MANIFESTS, mrow.key)
+                            report.pruned_manifest_rows.append(mrow.key)
+                    for crow in ckpts:
+                        if crow.upto_sequence < bound:
+                            cat.delete(ctx, CHECKPOINTS, crow.key)
+                            report.pruned_checkpoint_rows.append(crow.key)
+                if ctx.writes:
+                    cat.commit(ctx)
         except RetryableError:
             report.pruned_manifest_rows.clear()
             report.pruned_checkpoint_rows.clear()
-        except Exception:
-            if ctx.status == ACTIVE:
-                cat.abort(ctx)
-            raise
         finally:
             eng.snapshots.invalidate()
 

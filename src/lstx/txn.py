@@ -16,14 +16,13 @@ same bytes under the same name and an already-exists put is success.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import manifest as mf
 from .catalog import (
     ABORTED,
     ACTIVE,
     CHECKPOINTS,
-    COMMITTED,
     MANIFESTS,
     TABLES,
     WHOLE_TABLE,
@@ -50,7 +49,6 @@ from .errors import (
     CorruptFileError,
     DuplicateKeyError,
     EngineError,
-    RetryableError,
     SchemaError,
     TxnClosedError,
     UnknownTableError,
@@ -129,35 +127,8 @@ def file_can_match(meta: DataFileMeta, conds) -> bool:
 
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableDef:
-    table_id: int
-    name: str
-    schema: Schema
-    distribution_count: int = 1
-    partition_key: "tuple | None" = None
-    distribution_key: "tuple | None" = None
-
-    @classmethod
-    def from_row(cls, row: TablesRow) -> "TableDef":
-        return cls(
-            table_id=row.table_id,
-            name=row.name,
-            schema=Schema(row.columns),
-            distribution_count=row.distribution_count,
-            partition_key=row.partition_key,
-            distribution_key=row.distribution_key,
-        )
-
-    def to_row(self) -> TablesRow:
-        return TablesRow(
-            table_id=self.table_id,
-            name=self.name,
-            columns=self.schema.columns,
-            distribution_count=self.distribution_count,
-            partition_key=self.partition_key,
-            distribution_key=self.distribution_key,
-        )
+# a table's definition is its catalog row
+TableDef = TablesRow
 
 
 @dataclass(frozen=True)
@@ -176,7 +147,6 @@ class EngineConfig:
     checkpoint_trigger: int = 10
     retention_seconds: float = 7 * 86400.0
     compaction_target_rows: int = 100_000
-    max_task_attempts: int = 3
     write_workers: int = 1
     read_workers: int = 1
     auto_maintenance: bool = False
@@ -191,11 +161,14 @@ class Txn:
         self.engine = engine
         self.ctx = ctx
         self.granularity = granularity
-        self.status = ACTIVE
         self.snapshots: dict[int, mf.TableState] = {}
         self.manifests: dict[int, tuple] = {}
         self.manifest_paths: dict[int, str] = {}
         self.stmt = 0
+
+    @property
+    def status(self) -> str:
+        return self.ctx.status
 
     @property
     def txn_id(self) -> int:
@@ -234,20 +207,28 @@ class Txn:
     def abort(self) -> None:
         self.engine.abort(self)
 
+    def __enter__(self) -> "Txn":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        # a with-block ends the txn: unless the block committed it, it aborts
+        if self.status == ACTIVE:
+            self.engine.abort(self)
+
 
 class Engine:
     """Facade wiring the object store, catalog, snapshot manager, compute pool
     and maintenance together over one storage root."""
 
-    def __init__(self, root: str, *, workspace: str = "main",
-                 config: "EngineConfig | None" = None,
+    workspace = "main"  # first segment of every object path
+
+    def __init__(self, root: str, *, config: "EngineConfig | None" = None,
                  fault_policy: "FaultPolicy | None" = None):
         import os
 
         from .maintenance import Maintenance, Sto
 
         self.root = root
-        self.workspace = workspace
         self.config = config or EngineConfig()
         os.makedirs(root, exist_ok=True)
         self.store = LocalObjectStore(os.path.join(root, "objects"))
@@ -256,7 +237,6 @@ class Engine:
         self.dcp = DcpSimulator(
             write_workers=self.config.write_workers,
             read_workers=self.config.read_workers,
-            max_attempts=self.config.max_task_attempts,
             fault_policy=fault_policy,
         )
         self.maintenance = Maintenance(self)
@@ -294,51 +274,35 @@ class Engine:
         schema = columns if isinstance(columns, Schema) else Schema.of(*columns)
         for col in tuple(partition_key or ()) + tuple(distribution_key or ()):
             schema.type_of(col)  # raises on unknown column
-        ctx = self.catalog.begin(Isolation.SI)
-        try:
+        if type(distribution_count) is not int or distribution_count < 1:
+            raise SchemaError(
+                f"distribution_count must be an integer >= 1, got {distribution_count!r}")
+        with self.catalog.transaction() as ctx:
             if self.catalog.read(ctx, TABLES, where={"name": name}):
                 raise DuplicateKeyError(f"table {name} already exists")
-            tdef = TableDef(
-                table_id=self.catalog.max_table_id + 1,
-                name=name,
-                schema=schema,
-                distribution_count=distribution_count,
-                partition_key=tuple(partition_key) if partition_key else None,
-                distribution_key=tuple(distribution_key) if distribution_key else None,
-            )
-            self.catalog.insert(ctx, TABLES, tdef.to_row())
+            tdef = TableDef(self.catalog.max_table_id + 1, name, schema.columns,
+                            distribution_count, partition_key, distribution_key)
+            self.catalog.insert(ctx, TABLES, tdef)
             self.catalog.commit(ctx)
-        except Exception:
-            if ctx.status == ACTIVE:
-                self.catalog.abort(ctx)
-            raise
         return tdef
 
     def drop_table(self, table) -> None:
-        """Delete the table row and its manifest / conflict-key rows; the
-        table's files become orphans and age out through garbage collection."""
-        ctx = self.catalog.begin(Isolation.SI)
-        try:
+        """Delete the table row and its manifest / conflict-key / checkpoint
+        rows; the table's files become orphans and age out through garbage
+        collection."""
+        with self.catalog.transaction() as ctx:
             tdef = self._resolve(ctx, table)
-            self.catalog.delete(ctx, TABLES, (tdef.table_id,))
-            for row in self.catalog.read(ctx, MANIFESTS, where={"table_id": tdef.table_id}):
-                self.catalog.delete(ctx, MANIFESTS, (row.table_id, row.manifest_path))
-            for row in self.catalog.read(ctx, WRITESETS, where={"table_id": tdef.table_id}):
-                self.catalog.delete(ctx, WRITESETS, (row.table_id, row.file_name))
-            for row in self.catalog.read(ctx, CHECKPOINTS, where={"table_id": tdef.table_id}):
-                self.catalog.delete(ctx, CHECKPOINTS, (row.table_id, row.upto_sequence))
+            self.catalog.delete(ctx, TABLES, tdef.key)
+            for name in (MANIFESTS, WRITESETS, CHECKPOINTS):
+                for row in self.catalog.read(ctx, name, where={"table_id": tdef.table_id}):
+                    self.catalog.delete(ctx, name, row.key)
             self.catalog.commit(ctx)
-        except Exception:
-            if ctx.status == ACTIVE:
-                self.catalog.abort(ctx)
-            raise
 
     def clone_table(self, source, dest_name: str, as_of=None) -> TableDef:
         """Zero-copy clone: re-insert the source's visible manifest rows under
         a fresh table id. No data or manifest object is copied; both tables
         keep referencing the same immutable files and diverge independently."""
-        ctx = self.catalog.begin(Isolation.SI)
-        try:
+        with self.catalog.transaction() as ctx:
             src = self._resolve(ctx, source)
             if self.catalog.read(ctx, TABLES, where={"name": dest_name}):
                 raise DuplicateKeyError(f"table {dest_name} already exists")
@@ -348,15 +312,8 @@ class Engine:
                     ctx, src.table_id, as_of, self.config.retention_seconds
                 )
             rows = self.snapshots.visible_manifests(ctx, src.table_id, upto)
-            dest = TableDef(
-                table_id=self.catalog.max_table_id + 1,
-                name=dest_name,
-                schema=src.schema,
-                distribution_count=src.distribution_count,
-                partition_key=src.partition_key,
-                distribution_key=src.distribution_key,
-            )
-            self.catalog.insert(ctx, TABLES, dest.to_row())
+            dest = replace(src, table_id=self.catalog.max_table_id + 1, name=dest_name)
+            self.catalog.insert(ctx, TABLES, dest)
             for row in rows:
                 self.catalog.insert(
                     ctx,
@@ -368,25 +325,15 @@ class Engine:
                     ),
                 )
             self.catalog.commit(ctx)
-        except Exception:
-            if ctx.status == ACTIVE:
-                self.catalog.abort(ctx)
-            raise
         return dest
 
     def table(self, name_or_id) -> TableDef:
-        ctx = self.catalog.begin(Isolation.SI)
-        try:
+        with self.catalog.transaction() as ctx:
             return self._resolve(ctx, name_or_id)
-        finally:
-            self.catalog.abort(ctx)
 
     def list_tables(self) -> list:
-        ctx = self.catalog.begin(Isolation.SI)
-        try:
-            return [TableDef.from_row(r) for r in self.catalog.read(ctx, TABLES)]
-        finally:
-            self.catalog.abort(ctx)
+        with self.catalog.transaction() as ctx:
+            return self.catalog.read(ctx, TABLES)
 
     def _resolve(self, ctx, table) -> TableDef:
         if isinstance(table, TableDef):
@@ -396,11 +343,11 @@ class Engine:
             row = self.catalog.get(ctx, TABLES, (table,))
             if row is None:
                 raise UnknownTableError(f"no table with id {table}")
-            return TableDef.from_row(row)
+            return row
         rows = self.catalog.read(ctx, TABLES, where={"name": table})
         if not rows:
             raise UnknownTableError(f"no table named {table}")
-        return TableDef.from_row(rows[0])
+        return rows[0]
 
     # ------------------------------------------------------------------
     # transactions
@@ -773,12 +720,7 @@ class Engine:
                 table_id=tid, manifest_path=path, transaction_id=txn.txn_id,
             ))
             manifest_keys[tid] = (tid, path)
-        try:
-            result = self.catalog.commit(txn.ctx)
-        except RetryableError:
-            txn.status = ABORTED
-            raise
-        txn.status = COMMITTED
+        result = self.catalog.commit(txn.ctx)
         sequences = {tid: result.sequences[key] for tid, key in manifest_keys.items()}
         if self.sto is not None:
             for tid in sequences:
@@ -797,7 +739,6 @@ class Engine:
             return
         self._check_active(txn)
         self.catalog.abort(txn.ctx)
-        txn.status = ABORTED
 
     # ------------------------------------------------------------------
     # session re-attachment (CLI)

@@ -3,9 +3,13 @@ read validation, journal durability, gap-free sequence assignment."""
 
 import json
 import os
+import struct
 import threading
+import zlib
 
 import pytest
+
+import lstx.catalog
 
 from lstx.catalog import (
     CHECKPOINTS,
@@ -441,6 +445,66 @@ def test_journal_tolerates_truncated_tail(tmp_path):
     assert os.path.getsize(path) > size - 1
 
 
+# Journal records of the tables, manifests, writesets and checkpoints rows
+# and of a reservation, as the engine has always written them: each row
+# object is its fields in declaration order.
+_PINNED_RECORDS = (
+    '{"v":1,"txn":1,"wc":1700000000.0,"m":[["tables",[1],{"table_id":1,"name":"t",'
+    '"columns":[["k","int64"],["tag","utf8"]],"distribution_count":2,'
+    '"partition_key":["tag"],"distribution_key":["k"]}]]}',
+    '{"v":2,"txn":2,"wc":1700000000.000001,"m":[["manifests",[1,"main/t1/manifests/x2r1.m"],'
+    '{"table_id":1,"manifest_path":"main/t1/manifests/x2r1.m","sequence_id":1,'
+    '"transaction_id":2,"commit_wallclock":1700000000.000001}],'
+    '["writesets",[1,"main/t1/data/a.col"],'
+    '{"table_id":1,"file_name":"main/t1/data/a.col","updated":1}]]}',
+    '{"v":3,"txn":3,"wc":1700000000.000002,"m":[["checkpoints",[1,1],'
+    '{"table_id":1,"upto_sequence":1,"path":"main/t1/checkpoints/000000000001.ckpt",'
+    '"commit_wallclock":1700000000.000002}]]}',
+    '{"v":3,"txn":4,"m":[]}',
+)
+
+
+def test_journal_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(lstx.catalog.time, "time", lambda: 1_700_000_000.0)
+    path = str(tmp_path / "cat.journal")
+    c1 = Catalog(path)
+    t = c1.begin()
+    c1.insert(t, TABLES, TablesRow(1, "t", (("k", "int64"), ("tag", "utf8")), 2,
+                                   ("tag",), ("k",)))
+    c1.commit(t)
+    t = c1.begin()
+    c1.insert(t, MANIFESTS, ManifestsRow(1, "main/t1/manifests/x2r1.m", transaction_id=2))
+    c1.upsert_writeset(t, 1, "main/t1/data/a.col")
+    c1.commit(t)
+    t = c1.begin()
+    c1.insert(t, CHECKPOINTS, CheckpointsRow(1, 1, "main/t1/checkpoints/000000000001.ckpt"))
+    c1.commit(t)
+    t = c1.begin()
+    c1.reserve(t)
+    c1.abort(t)
+    exported = c1.export_snapshot()
+    c1.close()
+
+    expected = b""
+    for record in _PINNED_RECORDS:
+        payload = record.encode()
+        expected += (struct.pack("<I", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+    with open(path, "rb") as fh:
+        assert fh.read() == expected
+    c2 = Catalog(path)
+    assert c2.export_snapshot() == exported
+    c2.close()
+
+
+def test_tables_row_normalises_lists():
+    # a row decoded from JSON carries lists; it equals the row built in code
+    from_lists = TablesRow(1, "t", [["k", "int64"], ["tag", "utf8"]], 2, ["tag"], [])
+    from_tuples = TablesRow(1, "t", (("k", "int64"), ("tag", "utf8")), 2, ("tag",), None)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+
+
 def test_export_import_roundtrip(tmp_path, cat):
     t = cat.begin()
     cat.insert(t, TABLES, trow(1, "a"))
@@ -510,4 +574,19 @@ def test_min_live_begin_tracks_active_txns(cat):
     cat.abort(a)
     assert cat.min_live_begin() == b.begin_version
     cat.abort(b)
+    assert cat.min_live_begin() is None
+
+
+def test_transaction_scope_leaves_no_live_txn(cat):
+    with cat.transaction() as t:
+        cat.insert(t, TABLES, trow(1, "a"))
+        cat.commit(t)
+    assert t.status == "committed"
+    with cat.transaction() as t:
+        assert cat.min_live_begin() == t.begin_version
+    assert t.status == "aborted"
+    with pytest.raises(DuplicateKeyError):
+        with cat.transaction() as t:
+            cat.insert(t, TABLES, trow(1, "again"))
+    assert t.status == "aborted"
     assert cat.min_live_begin() is None

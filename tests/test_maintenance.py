@@ -10,6 +10,7 @@ from lstx import (
     Engine,
     Isolation,
     OutOfRetentionError,
+    UnknownTableError,
     WWConflictError,
 )
 from lstx.object_store import BlockId
@@ -130,6 +131,32 @@ def test_compaction_declines_healthy_tables(engine):
     put_rows(engine, t, seed_rows(2, start=60))
     report = engine.maintenance.compact(t, force=True)  # two smalls merge
     assert report is not None and len(report.removed_files) == 2
+
+
+def test_maintenance_jobs_leave_no_live_transaction(engine):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(10))
+    assert engine.maintenance.compact(t) is None
+    assert engine.maintenance.checkpoint(t) is not None
+    assert engine.maintenance.checkpoint(t) is None  # already checkpointed
+    for job in (engine.maintenance.compact, engine.maintenance.checkpoint,
+                engine.maintenance.health):
+        with pytest.raises(UnknownTableError):
+            job("missing")
+    assert engine.catalog.min_live_begin() is None
+
+
+def test_txn_with_block_aborts_unless_committed(engine):
+    t = engine.create_table("t", COLS)
+    with engine.begin_transaction("si") as x:
+        x.insert(t, seed_rows(2))
+    assert x.status == "aborted"
+    with engine.begin_transaction("si") as y:
+        y.insert(t, seed_rows(3))
+        y.commit()
+    assert y.status == "committed"
+    assert full_scan(engine, t) == seed_rows(3)
+    assert engine.catalog.min_live_begin() is None
 
 
 def test_compaction_loses_to_concurrent_delete(engine):

@@ -398,6 +398,10 @@ def test_ddl_errors(engine):
         engine.table("missing")
     with pytest.raises(SchemaError):
         engine.create_table("bad", COLS, partition_key=("nope",))
+    for count in (0, -2, 1.5, True, "2"):
+        with pytest.raises(SchemaError):
+            engine.create_table("bad", COLS, distribution_count=count)
+    assert [t.name for t in engine.list_tables()] == ["t"]  # nothing committed
     engine.drop_table("t")
     with pytest.raises(UnknownTableError):
         engine.table("t")
