@@ -40,6 +40,7 @@ from functools import cached_property
 from .datafile import Schema
 from .errors import (
     DuplicateKeyError,
+    EngineError,
     NotFoundError,
     SerializationFailureError,
     TxnClosedError,
@@ -270,8 +271,12 @@ class Catalog:
     def _log(self, version: int, txn_id: int, wc: "float | None", mutations,
              next_seq: "int | None" = None) -> None:
         """Append and flush one journal record, then apply it. Keys keep the
-        order v, txn, wc, m, seq; wc and seq only when given."""
-        if self._journal is not None:
+        order v, txn, wc, m, seq; wc and seq only when given. A catalog opened
+        on a journal refuses once closed, so nothing is acknowledged that a
+        reopen would not see."""
+        if self._journal_path is not None:
+            if self._journal is None:
+                raise EngineError(f"catalog is closed: {self._journal_path}")
             rec = {"v": version, "txn": txn_id}
             if wc is not None:
                 rec["wc"] = wc

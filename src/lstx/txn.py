@@ -16,6 +16,7 @@ same bytes under the same name and an already-exists put is success.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from . import manifest as mf
@@ -221,6 +222,8 @@ class Engine:
     and maintenance together over one storage root."""
 
     workspace = "main"  # first segment of every object path
+    # bound on the decoded-object cache, in encoded bytes read from storage
+    _CACHE_BYTES = 32 << 20
 
     def __init__(self, root: str, *, config: "EngineConfig | None" = None,
                  fault_policy: "FaultPolicy | None" = None):
@@ -242,8 +245,9 @@ class Engine:
         self.maintenance = Maintenance(self)
         self.sto = Sto(self) if self.config.auto_maintenance else None
         self._cache_mutex = threading.Lock()
-        self._row_cache: dict[str, tuple] = {}
-        self._dv_cache: dict[str, frozenset] = {}
+        # path -> (decoded value, encoded size), least recently used first
+        self._cache: OrderedDict[str, tuple] = OrderedDict()
+        self._cached_bytes = 0
 
     def close(self) -> None:
         if self.sto is not None:
@@ -385,33 +389,41 @@ class Engine:
         return mf.overlay(base, own) if own else base
 
     # ------------------------------------------------------------------
-    # cached immutable-file reads
+    # cached immutable-file reads: paths are write-once (txn guid plus
+    # content digest), so a cached entry never goes stale
+
+    def _cached(self, path: str, decode):
+        """decode(payload) of the object at path, through the one LRU cache of
+        decoded data files and delete vectors. Each entry is charged its
+        encoded length; least recently used entries are evicted until the
+        total fits _CACHE_BYTES, and an object larger than that is returned
+        without being kept."""
+        with self._cache_mutex:
+            hit = self._cache.get(path)
+            if hit is not None:
+                self._cache.move_to_end(path)
+                return hit[0]
+        payload = self.store.get_object(path)
+        value, size = decode(payload), len(payload)
+        if size <= self._CACHE_BYTES:
+            with self._cache_mutex:
+                if path not in self._cache:
+                    self._cache[path] = (value, size)
+                    self._cached_bytes += size
+                    while self._cached_bytes > self._CACHE_BYTES:
+                        _, (_, evicted) = self._cache.popitem(last=False)
+                        self._cached_bytes -= evicted
+        return value
 
     def _file_rows(self, path: str) -> tuple:
-        with self._cache_mutex:
-            rows = self._row_cache.get(path)
-        if rows is None:
-            _, decoded, _ = decode_data_file(self.store.get_object(path))
-            rows = tuple(decoded)
-            with self._cache_mutex:
-                if len(self._row_cache) >= 512:
-                    self._row_cache.pop(next(iter(self._row_cache)))
-                self._row_cache[path] = rows
-        return rows
+        """Rows of one data file; called once per file visit."""
+        # decode_data_file is looked up at call time, so it can be wrapped
+        return self._cached(path, lambda payload: tuple(decode_data_file(payload)[1]))
 
     def _dv_bits(self, dv_ref: "mf.DvRef | None") -> frozenset:
         if dv_ref is None:
             return frozenset()
-        with self._cache_mutex:
-            bits = self._dv_cache.get(dv_ref.path)
-        if bits is None:
-            dv, _, _ = decode_delete_vector(self.store.get_object(dv_ref.path))
-            bits = dv.bits
-            with self._cache_mutex:
-                if len(self._dv_cache) >= 512:
-                    self._dv_cache.pop(next(iter(self._dv_cache)))
-                self._dv_cache[dv_ref.path] = bits
-        return bits
+        return self._cached(dv_ref.path, lambda payload: decode_delete_vector(payload)[0].bits)
 
     def _put_idempotent(self, path: str, payload: bytes) -> None:
         """Write-once put that treats an existing identical object as success;

@@ -43,9 +43,14 @@ def test_tracer_wraps_and_restores_engine_names(tmp_path):
             x.commit()
             y = eng.begin_transaction("si")
             assert sorted(y.scan(t)) == [(1,), (2,)]
+            assert sorted(y.scan(t)) == [(1,), (2,)]
             y.abort()
     finally:
         tracer.uninstall()
+    # engine.row_cache.miss_ratio is codec decodes per file visit: two visits
+    # of the one file, the second served from the cache
+    assert tracer.counts["engine.file_visit.calls"] == 2
+    assert tracer.counts["codec.decode.calls"] == 1
     for name in ("catalog.commit.calls", "engine.scan.calls", "engine.insert.calls",
                  "catalog.read.calls", "engine.file_visit.calls", "codec.decode.calls",
                  "codec.encode.calls", "snapshot.load_manifest.calls",

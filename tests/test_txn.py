@@ -3,6 +3,7 @@ time travel, clones, and fault-tolerant statement execution."""
 
 import hashlib
 import random
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from lstx import (
     UnknownTableError,
     WWConflictError,
 )
+from lstx import txn as txn_module
 from lstx.catalog import WHOLE_TABLE
 from lstx.cli import golden_walkthrough
 from lstx.txn import FILE, TABLE, Engine as _Engine, row_matches
@@ -527,6 +529,24 @@ def test_committed_state_survives_restart(tmp_path):
         x.commit()
 
 
+def test_closed_engine_refuses_commit_and_reserve(tmp_path):
+    root = str(tmp_path / "r")
+    eng = Engine(root, config=fast_config())
+    t = eng.create_table("t", COLS)
+    x = eng.begin_transaction("si")
+    x.insert(t, seed_rows(1))
+    pinned = eng.begin_transaction("si")
+    eng.close()
+    with pytest.raises(EngineError, match="closed"):
+        x.commit()
+    with pytest.raises(EngineError, match="closed"):
+        eng.catalog.reserve(pinned.ctx)
+    with Engine(root, config=fast_config()) as eng:
+        y = eng.begin_transaction("si")
+        assert y.scan(eng.table("t")) == []
+        y.abort()
+
+
 def test_parallel_writers_get_gap_free_sequences(engine):
     t = engine.create_table("t", COLS, distribution_count=2)
     outcomes = []
@@ -625,3 +645,165 @@ def test_exhausted_statement_leaves_transaction_usable(make_engine):
     check = engine.begin_transaction("si")
     assert sorted(r[0] for r in check.scan(t)) == [0, 1, 8, 9]
     check.abort()
+
+
+# ---------------------------------------------------------------------------
+# decoded-object cache
+
+def count_decodes(monkeypatch):
+    """Count txn.decode_data_file calls; the engine looks it up per call."""
+    calls = []
+    real = txn_module.decode_data_file
+
+    def counting(payload, *args, **kwargs):
+        calls.append(1)
+        return real(payload, *args, **kwargs)
+
+    monkeypatch.setattr(txn_module, "decode_data_file", counting)
+    return calls
+
+
+def live_paths(engine, table):
+    x = engine.begin_transaction("si")
+    paths = [lf.meta.path for lf in engine._table_state(x, table).live.values()]
+    x.abort()
+    return paths
+
+
+def check_cache_bound(engine):
+    assert engine._cached_bytes == sum(size for _, size in engine._cache.values())
+    assert engine._cached_bytes <= engine._CACHE_BYTES
+
+
+def test_warm_scan_of_more_than_512_files_decodes_nothing(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    for i in range(520):
+        put_rows(engine, t, seed_rows(1, start=i))
+    assert len(live_paths(engine, t)) == 520
+    decodes = count_decodes(monkeypatch)
+    x = engine.begin_transaction("si")
+    assert x.scan(t, aggregate=("count",)) == 520
+    assert len(decodes) == 520
+    assert sorted(x.scan(t)) == seed_rows(520)
+    assert len(decodes) == 520  # the second scan is served from the cache
+    x.abort()
+
+
+def test_cache_evicts_least_recently_used_within_its_byte_bound(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    for i in range(3):
+        put_rows(engine, t, seed_rows(1, start=i))
+    a, b, c = live_paths(engine, t)
+    # any two files fit, all three do not
+    total = sum(len(engine.store.get_object(p)) for p in (a, b, c))
+    monkeypatch.setattr(_Engine, "_CACHE_BYTES", total - 1)
+    engine._file_rows(a)
+    engine._file_rows(b)
+    engine._file_rows(a)  # a is now the most recently used
+    engine._file_rows(c)  # evicts b, the least recently used
+    assert list(engine._cache) == [a, c]
+    check_cache_bound(engine)
+    decodes = count_decodes(monkeypatch)
+    engine._file_rows(a)
+    engine._file_rows(c)
+    assert decodes == []
+    engine._file_rows(b)
+    assert decodes == [1]
+    assert list(engine._cache) == [c, b]  # a was touched before c, so it went
+
+
+def test_object_larger_than_the_cache_bound_is_not_kept(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(1))
+    put_rows(engine, t, seed_rows(200, start=1))
+    small, big = sorted(live_paths(engine, t), key=lambda p: len(engine.store.get_object(p)))
+    monkeypatch.setattr(_Engine, "_CACHE_BYTES", len(engine.store.get_object(big)) - 1)
+    x = engine.begin_transaction("si")
+    assert sorted(x.scan(t)) == seed_rows(201)
+    x.abort()
+    assert list(engine._cache) == [small]
+    check_cache_bound(engine)
+
+
+def test_scans_under_a_small_cache_bound_match_a_model(engine, monkeypatch):
+    rng = random.Random(7)
+    t = engine.create_table("t", COLS, distribution_count=3)
+    put_rows(engine, t, seed_rows(30))
+    model = {r[0]: r for r in seed_rows(30)}
+    paths = live_paths(engine, t)
+    monkeypatch.setattr(_Engine, "_CACHE_BYTES",
+                        2 * max(len(engine.store.get_object(p)) for p in paths))
+    next_key = 30
+    for _ in range(40):
+        x = engine.begin_transaction("si", granularity=FILE)
+        op = rng.random()
+        if op < 0.4:
+            rows = seed_rows(rng.randint(1, 4), start=next_key)
+            next_key += len(rows)
+            x.insert(t, rows)
+            model.update((r[0], r) for r in rows)
+        elif op < 0.7 and model:
+            k = rng.choice(sorted(model))
+            assert x.delete(t, [("k", "=", k)]) == 1
+            del model[k]
+        elif model:
+            k = rng.choice(sorted(model))
+            x.update(t, {"v": -k}, [("k", "=", k)])
+            model[k] = (k, -k, model[k][2])
+        x.commit()
+        check = engine.begin_transaction("si")
+        assert sorted(check.scan(t)) == sorted(model.values())
+        assert check.scan(t, aggregate=("sum", "v")) == sum(r[1] for r in model.values())
+        check.abort()
+        check_cache_bound(engine)
+
+
+def test_cache_stays_consistent_under_concurrent_readers(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    for i in range(12):
+        put_rows(engine, t, seed_rows(1, start=i))
+    paths = live_paths(engine, t)
+    payloads = {p: engine.store.get_object(p) for p in paths}
+    expected = {p: tuple(txn_module.decode_data_file(b)[1]) for p, b in payloads.items()}
+    monkeypatch.setattr(_Engine, "_CACHE_BYTES", sum(map(len, payloads.values())) // 2)
+    wrong = []
+
+    def reader(w):
+        rng = random.Random(w)
+        for _ in range(300):
+            path = rng.choice(paths)
+            if engine._file_rows(path) != expected[path]:
+                wrong.append(path)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(w,)) for w in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    check_cache_bound(engine)  # a lost update would break the byte total
+
+
+def test_scan_sees_the_new_delete_vector_of_a_cached_file(engine):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(5))
+    (path,) = live_paths(engine, t)
+    x = engine.begin_transaction("si")
+    assert sorted(x.scan(t)) == seed_rows(5)
+    x.abort()
+    assert path in engine._cache
+    for gone, left in ((1, [0, 2, 3, 4]), (3, [0, 2, 4])):
+        x = engine.begin_transaction("si")
+        assert x.delete(t, [("k", "=", gone)]) == 1
+        assert sorted(r[0] for r in x.scan(t)) == left  # own uncommitted delete vector
+        x.commit()
+        y = engine.begin_transaction("si")
+        assert sorted(r[0] for r in y.scan(t)) == left
+        y.abort()
+    assert live_paths(engine, t) == [path]
