@@ -1,7 +1,9 @@
 """Simulated distributed compute pool.
 
-Statements fan out into tasks over disjoint cell sets (a cell is a partition /
-distribution bucket pair, or a concrete data file for deletes). Tasks run on
+Statements fan out into tasks over disjoint cell sets. An insert cell is a
+distribution bucket; a delete, update or read cell is one data file. A write
+task covers one cell, while a read task covers a contiguous slice of the
+statement's files, one slice per read worker. Tasks run on
 worker threads drawn from separate read and write pools, may be cancelled at
 injected fault points, and are retried up to a bounded attempt count. A
 statement hands each pool at most one job per worker; the jobs take the

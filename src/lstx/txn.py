@@ -81,6 +81,19 @@ def normalize_predicate(schema: Schema, predicate) -> tuple:
     return tuple(conds)
 
 
+def _aggregate_column(schema: Schema, aggregate) -> "int | None":
+    """Check a scan aggregate: "count" or ("count",) gives None, ("sum",
+    column) over an int64 or float64 column gives the column's index."""
+    parts = tuple(aggregate) if isinstance(aggregate, (tuple, list)) else (aggregate,)
+    if parts == ("count",):
+        return None
+    if len(parts) == 2 and parts[0] == "sum":
+        if schema.type_of(parts[1]) not in ("int64", "float64"):
+            raise SchemaError(f"sum over non-numeric column {parts[1]}")
+        return schema.index_of(parts[1])
+    raise SchemaError(f"unknown aggregate: {aggregate!r}")
+
+
 def _cmp(op: str, a, b) -> bool:
     if op == "=":
         return a == b
@@ -639,13 +652,21 @@ class Engine:
              aggregate=None, as_of=None):
         """Rows (projected, file order) or an aggregate over the visible state.
 
+        The live files min/max pruning keeps are split into
+        min(read_workers, files) contiguous slices, one read task each, so
+        dispatch grows with the pool, not the file count; results joined in
+        task order are in file order. The aggregate ("count", or ("sum",
+        column) over a numeric column) is checked before any file is read.
+
         as_of reads a historical sequence / timestamp point instead of the
         txn snapshot; it is rejected while the txn has its own writes on the
         table, since those have no defined position in history.
         """
         self._check_active(txn)
         tdef = self._resolve(txn.ctx, table)
-        conds = normalize_predicate(tdef.schema, predicate)
+        schema = tdef.schema
+        conds = normalize_predicate(schema, predicate)
+        sum_idx = _aggregate_column(schema, aggregate) if aggregate is not None else None
         if as_of is not None:
             if txn.manifests.get(tdef.table_id):
                 raise EngineError("as-of scan with uncommitted writes on this table")
@@ -655,49 +676,45 @@ class Engine:
             state = self.snapshots.state(txn.ctx, tdef.table_id, upto=upto, record=False)
         else:
             state = self._table_state(txn, tdef)
-        schema = tdef.schema
         if columns is not None:
             proj = tuple(schema.index_of(c) for c in columns)
         files = [lf for lf in state.live.values() if file_can_match(lf.meta, conds)]
         stmt = txn.next_stmt()
-        tasks = []
-        for i, lf in enumerate(files):
-            meta, dv_ref = lf.meta, lf.dv
-            task_id = f"{txn.guid}s{stmt}.r{i:03d}"
-
-            def fn(fc, meta=meta, dv_ref=dv_ref, task_id=task_id) -> TaskResult:
-                fc.checkpoint("before")
-                rows = self._file_rows(meta.path)
-                bits = self._dv_bits(dv_ref)
-                out = [row for i2, row in enumerate(rows)
-                       if i2 not in bits and row_matches(schema, conds, row)]
-                fc.checkpoint("mid")
-                fc.checkpoint("after")
-                return TaskResult(task_id, value=tuple(out))
-
-            tasks.append(Task(task_id, "read", fn,
-                              cells=((tdef.table_id, "scan", meta.path),)))
-        results = self.dcp.run_tasks(tasks)
-        rows = [row for r in results for row in r.value]
+        n = min(self.dcp.read_workers, len(files))
+        tasks = [
+            self._read_task(tdef, conds, files[len(files) * i // n:len(files) * (i + 1) // n],
+                            f"{txn.guid}s{stmt}.r{i:03d}")
+            for i in range(n)
+        ]
+        rows = [row for r in self.dcp.run_tasks(tasks) for row in r.value]
         if aggregate is not None:
-            return self._aggregate(schema, aggregate, rows)
+            return len(rows) if sum_idx is None else sum(row[sum_idx] for row in rows)
         if columns is not None:
             rows = [tuple(row[i] for i in proj) for row in rows]
         return rows
 
-    @staticmethod
-    def _aggregate(schema: Schema, aggregate, rows):
-        kind = aggregate[0] if isinstance(aggregate, (tuple, list)) else aggregate
-        if kind == "count":
-            return len(rows)
-        if kind == "sum":
-            col = aggregate[1]
-            typ = schema.type_of(col)
-            if typ not in ("int64", "float64"):
-                raise SchemaError(f"sum over non-numeric column {col}")
-            idx = schema.index_of(col)
-            return sum(row[idx] for row in rows)
-        raise SchemaError(f"unknown aggregate: {aggregate!r}")
+    def _read_task(self, tdef: TableDef, conds, files: list, task_id: str) -> Task:
+        """One read task over a contiguous slice of live files: the visible
+        rows matching conds, in file order. Each file stays its own cell."""
+        schema = tdef.schema
+
+        def fn(fc) -> TaskResult:
+            fc.checkpoint("before")
+            out = []
+            for lf in files:
+                rows = self._file_rows(lf.meta.path)
+                bits = self._dv_bits(lf.dv)
+                if bits or conds:
+                    out.extend(row for i, row in enumerate(rows)
+                               if i not in bits and row_matches(schema, conds, row))
+                else:
+                    out.extend(rows)
+            fc.checkpoint("mid")
+            fc.checkpoint("after")
+            return TaskResult(task_id, value=out)
+
+        return Task(task_id, "read", fn,
+                    cells=tuple((tdef.table_id, "scan", lf.meta.path) for lf in files))
 
     # ------------------------------------------------------------------
     # commit / abort

@@ -40,17 +40,21 @@ def test_tracer_wraps_and_restores_engine_names(tmp_path):
             t = eng.create_table("t", [("k", "int64")])
             x = eng.begin_transaction("si")
             x.insert(t, [(1,), (2,)])
+            x.insert(t, [(3,)])  # a second statement writes a second file
             x.commit()
             y = eng.begin_transaction("si")
-            assert sorted(y.scan(t)) == [(1,), (2,)]
-            assert sorted(y.scan(t)) == [(1,), (2,)]
+            tasks = tracer.counts["dcp.tasks"]
+            assert sorted(y.scan(t)) == [(1,), (2,), (3,)]
+            assert sorted(y.scan(t)) == [(1,), (2,), (3,)]
+            # one read worker: each scan is one read task over both files
+            assert tracer.counts["dcp.tasks"] - tasks == 2
             y.abort()
     finally:
         tracer.uninstall()
     # engine.row_cache.miss_ratio is codec decodes per file visit: two visits
-    # of the one file, the second served from the cache
-    assert tracer.counts["engine.file_visit.calls"] == 2
-    assert tracer.counts["codec.decode.calls"] == 1
+    # of each file, the second served from the cache
+    assert tracer.counts["engine.file_visit.calls"] == 4
+    assert tracer.counts["codec.decode.calls"] == 2
     for name in ("catalog.commit.calls", "engine.scan.calls", "engine.insert.calls",
                  "catalog.read.calls", "engine.file_visit.calls", "codec.decode.calls",
                  "codec.encode.calls", "snapshot.load_manifest.calls",

@@ -426,6 +426,24 @@ def test_bad_rows_and_predicates(engine):
     x.abort()
 
 
+def test_bad_aggregate_fails_before_reading_any_file(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(3))
+    visits = []
+    real = _Engine._file_rows
+    monkeypatch.setattr(_Engine, "_file_rows",
+                        lambda self, path: visits.append(path) or real(self, path))
+    x = engine.begin_transaction("si")
+    for bad in ("avg", ("sum", "tag"), ("sum", "nope"), ("sum",), "sum",
+                ("count", "k"), ()):
+        with pytest.raises(SchemaError):
+            x.scan(t, aggregate=bad)
+    assert visits == [] and x.stmt == 0
+    assert x.scan(t, aggregate=["sum", "v"]) == 30 and x.stmt == 1
+    assert len(visits) == 1
+    x.abort()
+
+
 # ---------------------------------------------------------------------------
 # time travel & clones
 
@@ -807,3 +825,94 @@ def test_scan_sees_the_new_delete_vector_of_a_cached_file(engine):
         assert sorted(r[0] for r in y.scan(t)) == left
         y.abort()
     assert live_paths(engine, t) == [path]
+
+
+# ---------------------------------------------------------------------------
+# read tasks: one contiguous slice of live files per read worker
+
+def read_attempts(engine, txn):
+    """Trace entries of the read tasks of txn's latest statement."""
+    prefix = f"{txn.guid}s{txn.stmt}.r"
+    return [e for e in engine.dcp.trace if e.task_id.startswith(prefix)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scan_runs_one_read_task_per_worker(make_engine, workers):
+    engine = make_engine(fast_config(read_workers=workers))
+    t = engine.create_table("t", COLS)
+    for i in range(5):
+        put_rows(engine, t, seed_rows(2, start=2 * i))  # file i holds k = 2i, 2i+1
+    x = engine.begin_transaction("si")
+    assert sorted(x.scan(t)) == seed_rows(10)
+    assert sorted(e.task_id for e in read_attempts(engine, x)) == [
+        f"{x.guid}s{x.stmt}.r{i:03d}" for i in range(workers)]
+    assert sorted(x.scan(t, predicate=[("k", "<", 4)])) == seed_rows(4)  # two files
+    assert len(read_attempts(engine, x)) == min(workers, 2)
+    x.abort()
+
+
+def grouped_scans(engine):
+    """Scans of a table with delete vectors, under a predicate and a
+    projection, through the txn's own uncommitted writes; also the rows in
+    live-file order, read file by file."""
+    t = engine.create_table("t", COLS, distribution_count=2)
+    for i in range(4):
+        put_rows(engine, t, seed_rows(6, start=6 * i))
+    x = engine.begin_transaction("si")
+    assert x.delete(t, [("tag", "=", "tag1")]) == 8
+    x.commit()
+    x = engine.begin_transaction("si")
+    x.insert(t, seed_rows(5, start=100))
+    x.update(t, {"v": -1}, [("k", "=", 3)])
+    x.delete(t, [("k", "=", 101)])
+    state = engine._table_state(x, t)
+    file_order = [row for lf in state.live.values()
+                  for i, row in enumerate(engine._file_rows(lf.meta.path))
+                  if i not in engine._dv_bits(lf.dv)]
+    scans = (x.scan(t),
+             x.scan(t, columns=["tag", "k"], predicate=[("v", ">=", 50)]),
+             x.scan(t, predicate=[("tag", "!=", "tag0")], aggregate=("sum", "v")))
+    x.abort()
+    return file_order, scans
+
+
+def test_scan_rows_keep_file_order_for_every_worker_count(make_engine):
+    pictures = [grouped_scans(make_engine(fast_config(read_workers=w))) for w in (1, 2, 3)]
+    file_order, (full, projected, total) = pictures[0]
+    assert full == file_order
+    expected = {r[0]: r for r in seed_rows(24) if r[0] % 3 != 1}
+    expected.update((r[0], r) for r in seed_rows(5, start=100))
+    expected[3] = (3, -1, "tag0")
+    del expected[101]
+    assert sorted(full) == sorted(expected.values())
+    assert projected == [(r[2], r[0]) for r in full if r[1] >= 50]
+    assert total == sum(r[1] for r in full if r[2] != "tag0")
+    assert all(p == pictures[0] for p in pictures[1:])
+
+
+def test_scan_that_prunes_every_file_runs_no_read_task(engine):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(3))
+    put_rows(engine, t, seed_rows(3, start=3))
+    x = engine.begin_transaction("si")
+    trace = list(engine.dcp.trace)
+    assert x.scan(t, predicate=[("k", ">", 99)]) == []
+    assert x.scan(t, predicate=[("k", ">", 99)], aggregate="count") == 0
+    assert list(engine.dcp.trace) == trace
+    x.abort()
+
+
+@pytest.mark.parametrize("point", ["before", "mid", "after"])
+def test_faulted_read_slice_is_retried(make_engine, point):
+    engine = make_engine(fast_config(read_workers=2))
+    t = engine.create_table("t", COLS)
+    for i in range(5):
+        put_rows(engine, t, seed_rows(2, start=2 * i))
+    x = engine.begin_transaction("si")
+    clean = x.scan(t)
+    second = f"{x.guid}s{x.stmt + 1}.r001"
+    engine.dcp.fault_policy = FaultPolicy(((second, 1, point),))
+    assert x.scan(t) == clean
+    assert [(e.attempt, e.ok) for e in engine.dcp.trace if e.task_id == second] == [
+        (1, False), (2, True)]
+    x.abort()
