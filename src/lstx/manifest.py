@@ -6,7 +6,9 @@ one action per line, so blocks written by independent statement tasks can be
 concatenated in any commit order and still decode.
 
 Table state at a sequence point is the fold of all visible manifests,
-optionally starting from a checkpoint. ``overlay`` folds a transaction's own
+optionally starting from a checkpoint. A committed manifest or checkpoint is
+immutable, so the snapshot manager decodes each one once per engine, through
+the engine's cache of decoded objects. ``overlay`` folds a transaction's own
 uncommitted manifest on top of a committed state; ``reconcile`` merges the
 actions of a new statement into the transaction's manifest, cancelling work
 the statement made obsolete (a file both added and removed inside one
@@ -327,13 +329,19 @@ class SnapshotManager:
     equals commit order, so the set of visible manifests of a table is always
     a prefix and one integer identifies it. Cached states are reused as the
     base for newer ones (incremental maintenance) since they are immutable.
+
+    Manifest and checkpoint objects are read through ``cached(path, decode)``,
+    the engine's one cache of decoded immutable objects (``Engine._cached``).
+    Only paths named by committed catalog rows go through it: a committed
+    object is never rewritten, while an open transaction's manifest is
+    rewritten by each of its statements and is read from the store directly.
     """
 
     _CACHE_LIMIT = 256
 
-    def __init__(self, catalog, store):
+    def __init__(self, catalog, cached):
         self.catalog = catalog
-        self.store = store
+        self._cached = cached
         self._mutex = threading.Lock()
         self._cache: dict[tuple, TableState] = {}
 
@@ -352,12 +360,11 @@ class SnapshotManager:
 
     def load_manifest(self, row) -> tuple:
         try:
-            raw = self.store.get_object(row.manifest_path)
+            return self._cached(row.manifest_path, decode_manifest)
         except NotFoundError:
             raise SequenceGapError(
                 f"sequence {row.sequence_id} visible but manifest missing: {row.manifest_path}"
             ) from None
-        return decode_manifest(raw)
 
     def history(self, ctx, table_id: int, *, record: bool = True) -> tuple:
         """(visible manifest rows in sequence order, checkpoint rows) of one
@@ -378,7 +385,7 @@ class SnapshotManager:
         return best
 
     def _load_checkpoint(self, row, table_id: int) -> TableState:
-        state, _ = decode_checkpoint(self.store.get_object(row.path))
+        state = self._cached(row.path, lambda payload: decode_checkpoint(payload)[0])
         if state.table_id != table_id or state.sequence != row.upto_sequence:
             raise CorruptManifestError(f"checkpoint does not match its row: {row.path}")
         return state

@@ -249,7 +249,11 @@ class Engine:
         os.makedirs(root, exist_ok=True)
         self.store = LocalObjectStore(os.path.join(root, "objects"))
         self.catalog = Catalog(os.path.join(root, "catalog.journal"))
-        self.snapshots = mf.SnapshotManager(self.catalog, self.store)
+        self._cache_mutex = threading.Lock()
+        # path -> (decoded value, encoded size), least recently used first
+        self._cache: OrderedDict[str, tuple] = OrderedDict()
+        self._cached_bytes = 0
+        self.snapshots = mf.SnapshotManager(self.catalog, self._cached)
         self.dcp = DcpSimulator(
             write_workers=self.config.write_workers,
             read_workers=self.config.read_workers,
@@ -257,16 +261,18 @@ class Engine:
         )
         self.maintenance = Maintenance(self)
         self.sto = Sto(self) if self.config.auto_maintenance else None
-        self._cache_mutex = threading.Lock()
-        # path -> (decoded value, encoded size), least recently used first
-        self._cache: OrderedDict[str, tuple] = OrderedDict()
-        self._cached_bytes = 0
 
     def close(self) -> None:
         if self.sto is not None:
             self.sto.stop()
         self.dcp.close()
         self.catalog.close()
+        # the engine and its Maintenance reference each other, so without
+        # this the caches live on until the cyclic collector runs
+        with self._cache_mutex:
+            self._cache.clear()
+            self._cached_bytes = 0
+        self.snapshots.invalidate()
 
     def __enter__(self) -> "Engine":
         return self
@@ -402,15 +408,20 @@ class Engine:
         return mf.overlay(base, own) if own else base
 
     # ------------------------------------------------------------------
-    # cached immutable-file reads: paths are write-once (txn guid plus
-    # content digest), so a cached entry never goes stale
+    # cached immutable-object reads: data and delete-vector paths are
+    # write-once (txn guid plus content digest), and a manifest or checkpoint
+    # never changes once a catalog row names it, so a cached entry never
+    # goes stale
 
     def _cached(self, path: str, decode):
         """decode(payload) of the object at path, through the one LRU cache of
-        decoded data files and delete vectors. Each entry is charged its
-        encoded length; least recently used entries are evicted until the
-        total fits _CACHE_BYTES, and an object larger than that is returned
-        without being kept."""
+        decoded immutable objects: data files, delete vectors, and the
+        committed manifests and checkpoints the snapshot manager loads. An
+        open transaction's own manifest is rewritten by each statement and
+        never passes through here. Each entry is charged its encoded length;
+        least recently used entries are evicted until the total fits
+        _CACHE_BYTES, and an object larger than that is returned without
+        being kept."""
         with self._cache_mutex:
             hit = self._cache.get(path)
             if hit is not None:

@@ -20,6 +20,19 @@ def fast_config(**overrides) -> EngineConfig:
     return cfg
 
 
+def record_reads(monkeypatch, engine):
+    """Paths of every object the engine's store is asked for from now on."""
+    reads = []
+    real = engine.store.get_object
+
+    def recording(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(engine.store, "get_object", recording)
+    return reads
+
+
 @pytest.fixture
 def make_engine(tmp_path):
     engines = []

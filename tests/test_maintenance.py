@@ -15,7 +15,7 @@ from lstx import (
 )
 from lstx.object_store import BlockId
 
-from conftest import fast_config
+from conftest import fast_config, record_reads
 
 COLS = [("k", "int64"), ("v", "int64"), ("tag", "utf8")]
 
@@ -334,6 +334,27 @@ def test_gc_honors_clone_references(engine):
     engine.drop_table(clone)
     report = engine.maintenance.garbage_collect(now=time.time() + 10_000)
     assert len(data_files(engine, t.table_id)) == 0
+
+
+def test_gc_on_a_warm_engine_reads_no_manifest(engine, monkeypatch):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(4))
+    put_rows(engine, t, seed_rows(4, start=10))
+    delete_where(engine, t, [("k", "<", 4)])   # removes the first file
+    delete_where(engine, t, [("k", "=", 10)])  # adds a delete vector
+    delete_where(engine, t, [("k", "=", 11)])  # supersedes it
+    expected = sorted(seed_rows(2, start=12))
+    assert full_scan(engine, t) == expected
+    removed = set(committed_state(engine, t.table_id).removed)
+    assert len(removed) == 2  # the first file and the superseded delete vector
+
+    reads = record_reads(monkeypatch, engine)
+    report = engine.maintenance.garbage_collect()
+    assert report.deleted == [] and report.kept_recent == len(removed)
+    report = engine.maintenance.garbage_collect(now=time.time() + 4000)
+    assert set(report.deleted) == removed  # each removal aged out of retention
+    assert [p for p in reads if "/manifests/" in p] == []
+    assert full_scan(engine, t) == expected
 
 
 def test_gc_prunes_aged_history_behind_a_checkpoint(engine):

@@ -25,9 +25,10 @@ from lstx import (
 from lstx import txn as txn_module
 from lstx.catalog import WHOLE_TABLE
 from lstx.cli import golden_walkthrough
+from lstx.errors import SequenceGapError
 from lstx.txn import FILE, TABLE, Engine as _Engine, row_matches
 
-from conftest import fast_config
+from conftest import fast_config, record_reads
 
 COLS = [("k", "int64"), ("v", "int64"), ("tag", "utf8")]
 
@@ -688,6 +689,12 @@ def live_paths(engine, table):
     return paths
 
 
+def committed_manifest_paths(engine, table):
+    with engine.catalog.transaction() as ctx:
+        rows = engine.snapshots.visible_manifests(ctx, table.table_id)
+    return [r.manifest_path for r in rows]
+
+
 def check_cache_bound(engine):
     assert engine._cached_bytes == sum(size for _, size in engine._cache.values())
     assert engine._cached_bytes <= engine._CACHE_BYTES
@@ -739,7 +746,10 @@ def test_object_larger_than_the_cache_bound_is_not_kept(engine, monkeypatch):
     x = engine.begin_transaction("si")
     assert sorted(x.scan(t)) == seed_rows(201)
     x.abort()
-    assert list(engine._cache) == [small]
+    # the committed manifests share the cache with the data files
+    assert [p for p in engine._cache if "/data/" in p] == [small]
+    manifests = committed_manifest_paths(engine, t)
+    assert len(manifests) == 2 and all(p in engine._cache for p in manifests)
     check_cache_bound(engine)
 
 
@@ -825,6 +835,112 @@ def test_scan_sees_the_new_delete_vector_of_a_cached_file(engine):
         assert sorted(r[0] for r in y.scan(t)) == left
         y.abort()
     assert live_paths(engine, t) == [path]
+
+
+# ---------------------------------------------------------------------------
+# committed manifests and checkpoints share the decoded-object cache
+
+def history_with_model(engine, t, checkpoint_at=None):
+    """Six commits of inserts, deletes and an update, checkpointing after
+    sequence checkpoint_at; the sorted rows after each, indexed by sequence."""
+    steps = [
+        ("insert", seed_rows(4)),
+        ("insert", seed_rows(3, start=10)),
+        ("delete", [("k", "=", 1)]),
+        ("update", [("k", "=", 11)]),
+        ("insert", seed_rows(2, start=20)),
+        ("delete", [("k", ">=", 20)]),
+    ]
+    model = {}
+    states = [[]]
+    for op, arg in steps:
+        x = engine.begin_transaction("si", granularity=FILE)
+        if op == "insert":
+            x.insert(t, arg)
+            model.update((r[0], r) for r in arg)
+        elif op == "delete":
+            x.delete(t, arg)
+            model = {k: r for k, r in model.items() if not key_matches(k, arg)}
+        else:
+            x.update(t, {"v": -1}, arg)
+            model.update((k, (k, -1, r[2])) for k, r in model.items() if key_matches(k, arg))
+        assert x.commit().sequences[t.table_id] == len(states)
+        states.append(sorted(model.values()))
+        if len(states) - 1 == checkpoint_at:
+            assert engine.maintenance.checkpoint(t) is not None
+    return states
+
+
+def key_matches(k, predicate):
+    ops = {"=": lambda a, b: a == b, ">=": lambda a, b: a >= b}
+    return all(ops[op](k, value) for _, op, value in predicate)
+
+
+@pytest.mark.parametrize("checkpoint_at", [None, 2])
+def test_as_of_scans_after_a_head_scan_read_no_manifest(tmp_path, monkeypatch,
+                                                         checkpoint_at):
+    root = str(tmp_path / "r")
+    with Engine(root, config=fast_config()) as eng:
+        states = history_with_model(eng, eng.create_table("t", COLS), checkpoint_at)
+    with Engine(root, config=fast_config()) as eng:
+        t = eng.table("t")
+        x = eng.begin_transaction("si")
+        # the fresh engine's head scan decodes the checkpoint and every
+        # manifest after it; no as-of read below decodes one again
+        assert sorted(x.scan(t)) == states[-1]
+        reads = record_reads(monkeypatch, eng)
+        for seq in (3, 4, 5):
+            assert sorted(x.scan(t, as_of=seq)) == states[seq]
+        x.abort()
+    assert [p for p in reads if "/manifests/" in p or "/checkpoints/" in p] == []
+
+
+def test_open_transactions_manifest_stays_out_of_the_cache(engine):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(4))
+    x = engine.begin_transaction("si", granularity=FILE)
+    x.insert(t, seed_rows(2, start=10))
+    mpath = x.manifest_paths[t.table_id]
+    x.delete(t, [("k", "=", 0)])  # the second statement rewrites the manifest
+    assert x.manifest_paths[t.table_id] == mpath
+    own = [p for p in engine._cache
+           if p.rsplit("/", 1)[-1].startswith((x.guid + "s", x.guid + "."))]
+    assert own == []
+    seq = x.commit().sequences[t.table_id]
+    expected = sorted(seed_rows(3, start=1) + seed_rows(2, start=10))
+    y = engine.begin_transaction("si")
+    assert sorted(y.scan(t)) == expected
+    assert sorted(y.scan(t, as_of=seq)) == expected
+    assert sorted(y.scan(t, as_of=seq - 1)) == seed_rows(4)
+    y.abort()
+    assert mpath in engine._cache
+
+
+def test_missing_manifest_object_is_a_sequence_gap(tmp_path):
+    root = str(tmp_path / "r")
+    with Engine(root, config=fast_config()) as eng:
+        t = eng.create_table("t", COLS)
+        put_rows(eng, t, seed_rows(2))
+        put_rows(eng, t, seed_rows(2, start=5))
+        eng.store.delete_object(committed_manifest_paths(eng, t)[0])
+    with Engine(root, config=fast_config()) as eng:
+        x = eng.begin_transaction("si")
+        with pytest.raises(SequenceGapError, match="manifest missing"):
+            x.scan(eng.table("t"))
+        x.abort()
+
+
+def test_close_releases_the_caches(tmp_path):
+    eng = Engine(str(tmp_path / "r"), config=fast_config())
+    t = eng.create_table("t", COLS)
+    put_rows(eng, t, seed_rows(4))
+    x = eng.begin_transaction("si")
+    assert sorted(x.scan(t)) == seed_rows(4)
+    x.abort()
+    assert eng._cache and eng._cached_bytes and eng.snapshots._cache
+    eng.close()
+    assert len(eng._cache) == 0 and eng._cached_bytes == 0
+    assert eng.snapshots._cache == {}
 
 
 # ---------------------------------------------------------------------------
