@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass, field
 
@@ -34,6 +35,8 @@ UTF8 = "utf8"
 BOOL = "bool"
 COLUMN_TYPES = (INT64, FLOAT64, UTF8, BOOL)
 
+_WIDTHS = {INT64: 8, FLOAT64: 8, BOOL: 1}  # bytes per value of fixed-width types
+
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -43,6 +46,7 @@ class Schema:
     """Ordered (name, type) column list. Rows are plain tuples in this order."""
 
     columns: tuple[tuple[str, str], ...]
+    names: tuple = field(init=False, repr=False, compare=False)  # column names in order
     _index: dict = field(init=False, repr=False, compare=False)  # name -> position
 
     def __post_init__(self):
@@ -57,15 +61,12 @@ class Schema:
             index[name] = len(index)
             if typ not in COLUMN_TYPES:
                 raise SchemaError(f"unknown column type: {typ}")
+        object.__setattr__(self, "names", tuple(index))
         object.__setattr__(self, "_index", index)
 
     @classmethod
     def of(cls, *columns: tuple[str, str]) -> "Schema":
         return cls(tuple((n, t) for n, t in columns))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.columns)
 
     def type_of(self, name: str) -> str:
         return self.columns[self.index_of(name)][1]
@@ -122,9 +123,13 @@ def _schema_of(columns: tuple) -> Schema:
     return Schema(columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataFileMeta:
-    """Catalog-visible description of one immutable data file."""
+    """Catalog-visible description of one immutable data file.
+
+    Slotted, with interned stat names: predicate pruning reads a stat of
+    every live file, and with no instance dict and one name string per
+    column it touches fewer objects on the way."""
 
     path: str
     row_count: int
@@ -154,7 +159,7 @@ class DataFileMeta:
             row_count=data["rows"],
             size_bytes=data["size"],
             created_rev=data["created_rev"],
-            stats=tuple((n, lo, hi) for n, lo, hi in data["stats"]),
+            stats=tuple((sys.intern(n), lo, hi) for n, lo, hi in data["stats"]),
         )
 
 
@@ -195,6 +200,11 @@ def _encode_column(typ: str, values) -> bytes:
 
 
 def _decode_column(typ: str, raw: bytes, row_count: int) -> list:
+    """The row_count values of one column block; CorruptFileError unless the
+    block holds exactly that many."""
+    width = _WIDTHS.get(typ)
+    if width is not None and len(raw) != width * row_count:
+        raise CorruptFileError(f"{len(raw)}-byte {typ} block for {row_count} rows")
     if typ == INT64:
         return [v[0] for v in _I64.iter_unpack(raw)]
     if typ == FLOAT64:
@@ -203,11 +213,16 @@ def _decode_column(typ: str, raw: bytes, row_count: int) -> list:
         return [b == 1 for b in raw]
     vals = []
     off = 0
-    for _ in range(row_count):
-        (n,) = _U32.unpack_from(raw, off)
-        off += 4
-        vals.append(raw[off : off + n].decode("utf-8"))
-        off += n
+    try:
+        for _ in range(row_count):
+            (n,) = _U32.unpack_from(raw, off)
+            off += 4
+            vals.append(raw[off : off + n].decode("utf-8"))
+            off += n
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CorruptFileError(f"bad utf8 block: {exc}") from None
+    if off != len(raw):
+        raise CorruptFileError(f"{len(raw)}-byte utf8 block for {row_count} rows")
     return vals
 
 
@@ -237,7 +252,9 @@ def encode_data_file(schema: Schema, rows, created_rev: int) -> bytes:
     return body + _U32.pack(zlib.crc32(body))
 
 
-def _read_footer(data: bytes, magic: bytes) -> dict:
+def _read_footer(data: bytes, magic: bytes) -> tuple[dict, int]:
+    """The footer of a checksummed data file and the offset it starts at,
+    which is where the column blocks end."""
     if len(data) < len(magic) + 8 or not data.startswith(magic):
         raise CorruptFileError("bad magic or truncated file")
     (crc,) = _U32.unpack_from(data, len(data) - 4)
@@ -248,7 +265,7 @@ def _read_footer(data: bytes, magic: bytes) -> dict:
     if start < len(magic):
         raise CorruptFileError("footer length out of range")
     try:
-        return json.loads(data[start : start + flen])
+        return json.loads(data[start : start + flen]), start
     except ValueError as exc:
         raise CorruptFileError(f"unreadable footer: {exc}") from None
 
@@ -257,16 +274,27 @@ def decode_data_file(data: bytes, projection: "tuple[str, ...] | None" = None):
     """Decode a file image into (schema, rows, created_rev).
 
     projection limits decoding to the named columns, in the given order.
-    Raises CorruptFileError on checksum or framing mismatch.
+    Raises CorruptFileError on checksum or framing mismatch, and when a
+    checksummed footer disagrees with the body: a column with no block, a
+    block outside the bytes between magic and footer, or a block that does
+    not hold exactly `rows` values.
     """
-    footer = _read_footer(data, DATA_MAGIC)
+    footer, body_end = _read_footer(data, DATA_MAGIC)
     schema = Schema.from_json(footer["schema"])
     row_count = footer["rows"]
+    if type(row_count) is not int or row_count < 0:
+        raise CorruptFileError(f"bad row count: {row_count!r}")
     names = schema.names if projection is None else tuple(projection)
     cols = []
     for name in names:
+        typ = schema.type_of(name)
+        if name not in footer["columns"]:
+            raise CorruptFileError(f"footer has no block for column {name}")
         off, length = footer["columns"][name]
-        cols.append(_decode_column(schema.type_of(name), data[off : off + length], row_count))
+        if not len(DATA_MAGIC) <= off <= off + length <= body_end:
+            raise CorruptFileError(f"column {name} block [{off}, {off + length}) "
+                                   f"outside the body [{len(DATA_MAGIC)}, {body_end})")
+        cols.append(_decode_column(typ, data[off : off + length], row_count))
     rows = list(zip(*cols)) if cols else []
     if row_count and not rows:
         rows = [()] * row_count
@@ -275,13 +303,13 @@ def decode_data_file(data: bytes, projection: "tuple[str, ...] | None" = None):
 
 def file_meta_for(path: str, payload: bytes) -> DataFileMeta:
     """Recompute the catalog meta of an encoded file (oracle and write path)."""
-    footer = _read_footer(payload, DATA_MAGIC)
+    footer, _ = _read_footer(payload, DATA_MAGIC)
     return DataFileMeta(
         path=path,
         row_count=footer["rows"],
         size_bytes=len(payload),
         created_rev=footer["created_rev"],
-        stats=tuple((n, lo, hi) for n, lo, hi in footer["stats"]),
+        stats=tuple((sys.intern(n), lo, hi) for n, lo, hi in footer["stats"]),
     )
 
 
@@ -366,7 +394,7 @@ def created_rev_of(payload: bytes) -> int:
     without decoding row data (garbage collection reads this for files whose
     names carry no stamp)."""
     if payload[:4] == DATA_MAGIC:
-        return _read_footer(payload, DATA_MAGIC)["created_rev"]
+        return _read_footer(payload, DATA_MAGIC)[0]["created_rev"]
     return decode_delete_vector(payload)[2]
 
 

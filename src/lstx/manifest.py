@@ -156,7 +156,7 @@ class DvRef:
     meta: DvMeta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiveFile:
     meta: DataFileMeta
     dv: "DvRef | None" = None

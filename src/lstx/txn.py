@@ -15,9 +15,11 @@ same bytes under the same name and an already-exists put is success.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from . import manifest as mf
 from .catalog import (
@@ -60,25 +62,86 @@ TABLE = "table"
 FILE = "file"
 _GRANULARITIES = (TABLE, FILE)
 
-_COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_COMPARE_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_VALUE_TYPES = {"int64": int, "float64": float, "utf8": str, "bool": bool}
 
 
 # ---------------------------------------------------------------------------
 # predicates: conjunctions of (column, op, constant)
 
+class Condition(NamedTuple):
+    """One checked `column op value` term of a predicate, compiled once per
+    statement. A row passes when `test(row[pos], value)`; a file can hold
+    such a row only when its `(column, min, max)` stat passes every
+    `stat_test(stat[index], argument)` of `keep`."""
+
+    pos: int  # the column's schema position
+    test: Callable  # operator.eq, ne, lt, le, gt or ge
+    value: object
+    column: str
+    keep: tuple  # (index, stat_test, argument) triples
+
+
+def _stat_tests(op: str, value) -> tuple:
+    """The min/max checks of `column op value`: `=` needs min <= value <=
+    max, `!=` a stat other than min == max == value, `<` and `<=` a small
+    enough min, `>` and `>=` a large enough max."""
+    if op == "=":
+        return ((1, operator.le, value), (2, operator.ge, value))
+    if op == "!=":
+        return ((slice(1, 3), operator.ne, (value, value)),)
+    return ((1 if op[0] == "<" else 2, _COMPARE_OPS[op], value),)
+
+
 def normalize_predicate(schema: Schema, predicate) -> tuple:
+    """Check a predicate, a sequence of (column, op, value) triples, against
+    the schema and compile each into a Condition."""
     conds = []
-    for col, op, value in predicate or ():
-        typ = schema.type_of(col)
-        if op not in _COMPARE_OPS:
+    for term in predicate or ():
+        if not isinstance(term, (tuple, list)) or len(term) != 3:
+            raise SchemaError(f"predicate entry is not (column, op, value): {term!r}")
+        col, op, value = term
+        pos = schema.index_of(col)
+        if not isinstance(op, str) or op not in _COMPARE_OPS:
             raise SchemaError(f"unknown predicate operator: {op}")
+        typ = schema.columns[pos][1]
         if typ == "float64" and type(value) is int:
             value = float(value)
-        expected = {"int64": int, "float64": float, "utf8": str, "bool": bool}[typ]
-        if type(value) is not expected:
+        if type(value) is not _VALUE_TYPES[typ]:
             raise SchemaError(f"predicate value {value!r} does not match {typ} column {col}")
-        conds.append((col, op, value))
+        conds.append(Condition(pos, _COMPARE_OPS[op], value, col, _stat_tests(op, value)))
     return tuple(conds)
+
+
+def _prune(live, conds) -> list:
+    """Min/max pruning: the non-empty live files, in order, whose stats admit
+    a row satisfying every condition. One pass per stat test reads each
+    file's stat at the condition's schema position, where encode_data_file
+    puts it; a stat missing there or naming another column falls back to
+    DataFileMeta.stat_for."""
+    files = live
+    for pos, _, _, col, keep in conds:
+        for index, test, arg in keep:
+            files = [lf for lf in files
+                     if (meta := lf.meta).row_count
+                     and (test(stat[index], arg)
+                          if len(stats := meta.stats) > pos and (stat := stats[pos])[0] == col
+                          else _stat_admits(meta, col, index, test, arg))]
+    return files if conds else [lf for lf in live if lf.meta.row_count]
+
+
+def _stat_admits(meta: DataFileMeta, col: str, index, test, arg) -> bool:
+    """_prune's test for a file whose stats are not laid out in schema order:
+    found by name, and passed when there is none."""
+    stat = meta.stat_for(col)
+    return stat is None or test((col, *stat)[index], arg)
 
 
 def _aggregate_column(schema: Schema, aggregate) -> "int | None":
@@ -92,51 +155,6 @@ def _aggregate_column(schema: Schema, aggregate) -> "int | None":
             raise SchemaError(f"sum over non-numeric column {parts[1]}")
         return schema.index_of(parts[1])
     raise SchemaError(f"unknown aggregate: {aggregate!r}")
-
-
-def _cmp(op: str, a, b) -> bool:
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
-
-
-def row_matches(schema: Schema, conds, row) -> bool:
-    for col, op, value in conds:
-        if not _cmp(op, row[schema.index_of(col)], value):
-            return False
-    return True
-
-
-def file_can_match(meta: DataFileMeta, conds) -> bool:
-    """Min/max pruning: False only when no row can satisfy the conjunction."""
-    if meta.row_count == 0:
-        return False
-    for col, op, value in conds:
-        stat = meta.stat_for(col)
-        if stat is None:
-            continue
-        lo, hi = stat
-        if op == "=" and (value < lo or value > hi):
-            return False
-        if op == "!=" and lo == hi == value:
-            return False
-        if op == "<" and lo >= value:
-            return False
-        if op == "<=" and lo > value:
-            return False
-        if op == ">" and hi <= value:
-            return False
-        if op == ">=" and hi < value:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +582,9 @@ class Engine:
             fc.checkpoint("before")
             rows = self._file_rows(meta.path)
             cur_bits = self._dv_bits(dv_ref)
-            matched = [
-                i for i, row in enumerate(rows)
-                if i not in cur_bits and row_matches(schema, conds, row)
-            ]
+            matched = [i for i in range(len(rows)) if i not in cur_bits]
+            for pos, test, value, _, _ in conds:
+                matched = [i for i in matched if test(rows[i][pos], value)]
             if not matched:
                 fc.checkpoint("mid")
                 fc.checkpoint("after")
@@ -620,7 +637,7 @@ class Engine:
             for col in set_clause:
                 tdef.schema.index_of(col)  # unknown-column check; values coerce on re-insert
         state = self._table_state(txn, tdef)
-        candidates = [lf for lf in state.live.values() if file_can_match(lf.meta, conds)]
+        candidates = _prune(state.live.values(), conds)
         if not candidates:
             return None
         stmt = txn.next_stmt()
@@ -663,7 +680,9 @@ class Engine:
              aggregate=None, as_of=None):
         """Rows (projected, file order) or an aggregate over the visible state.
 
-        The live files min/max pruning keeps are split into
+        The predicate is checked and compiled once per statement; its
+        conditions prune the live files by their min/max stats and then
+        filter each kept file's rows. The kept files are split into
         min(read_workers, files) contiguous slices, one read task each, so
         dispatch grows with the pool, not the file count; results joined in
         task order are in file order. The aggregate ("count", or ("sum",
@@ -689,7 +708,7 @@ class Engine:
             state = self._table_state(txn, tdef)
         if columns is not None:
             proj = tuple(schema.index_of(c) for c in columns)
-        files = [lf for lf in state.live.values() if file_can_match(lf.meta, conds)]
+        files = _prune(state.live.values(), conds)
         stmt = txn.next_stmt()
         n = min(self.dcp.read_workers, len(files))
         tasks = [
@@ -707,7 +726,6 @@ class Engine:
     def _read_task(self, tdef: TableDef, conds, files: list, task_id: str) -> Task:
         """One read task over a contiguous slice of live files: the visible
         rows matching conds, in file order. Each file stays its own cell."""
-        schema = tdef.schema
 
         def fn(fc) -> TaskResult:
             fc.checkpoint("before")
@@ -715,11 +733,11 @@ class Engine:
             for lf in files:
                 rows = self._file_rows(lf.meta.path)
                 bits = self._dv_bits(lf.dv)
-                if bits or conds:
-                    out.extend(row for i, row in enumerate(rows)
-                               if i not in bits and row_matches(schema, conds, row))
-                else:
-                    out.extend(rows)
+                if bits:
+                    rows = [row for i, row in enumerate(rows) if i not in bits]
+                for pos, test, value, _, _ in conds:
+                    rows = [row for row in rows if test(row[pos], value)]
+                out.extend(rows)
             fc.checkpoint("mid")
             fc.checkpoint("after")
             return TaskResult(task_id, value=out)

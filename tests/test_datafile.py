@@ -1,7 +1,9 @@
 """Columnar file and delete-vector codecs, checked against independent
 oracles: stats recomputed by brute force, roundtrips over generated data."""
 
+import json
 import math
+import struct
 import zlib
 
 import pytest
@@ -145,6 +147,59 @@ def test_corruption_detected():
         decode_data_file(bytes(payload[:10]))
     with pytest.raises(CorruptFileError):
         decode_data_file(b"XXXX" + bytes(payload[4:]))
+
+
+def resign(payload: bytes, edit) -> bytes:
+    """The file with its footer JSON passed through edit, and the footer
+    length and CRC recomputed, so that only the decoder's consistency checks
+    stand between the edited footer and the rows."""
+    (flen,) = struct.unpack_from("<I", payload, len(payload) - 8)
+    start = len(payload) - 8 - flen
+    footer = json.loads(payload[start : len(payload) - 8])
+    edit(footer)
+    fbytes = json.dumps(footer).encode("utf-8")
+    body = payload[:start] + fbytes + struct.pack("<I", len(fbytes))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _set(path, value):
+    def edit(footer):
+        *parents, last = path
+        node = footer
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+def test_footer_that_disagrees_with_the_body_is_corrupt():
+    rows = [(1, 1.5, "a", True), (2, 2.5, "bc", False), (3, 3.5, "", True)]
+    payload = encode_data_file(SCHEMA, rows, created_rev=1)
+    footer_start = len(payload) - 8 - struct.unpack_from("<I", payload, len(payload) - 8)[0]
+    # re-signing an unedited footer keeps the file readable
+    assert decode_data_file(resign(payload, lambda f: None))[1] == rows
+    blocks = json.loads(payload[footer_start : len(payload) - 8])["columns"]
+    (k_off, k_len), (s_off, s_len) = blocks["k"], blocks["s"]
+    edits = {
+        "rows one too low": _set(["rows"], 2),
+        "rows one too high": _set(["rows"], 4),
+        "negative rows": _set(["rows"], -1),
+        "int64 block one value short": _set(["columns", "k"], [k_off, k_len - 8]),
+        "utf8 block one byte short": _set(["columns", "s"], [s_off, s_len - 1]),
+        "utf8 block one byte long": _set(["columns", "s"], [s_off, s_len + 1]),
+        "offset into the magic": _set(["columns", "k"], [0, k_len]),
+        "offset into the footer": _set(["columns", "k"], [footer_start, 0]),
+        "offset past the end": _set(["columns", "b"], [len(payload) + 10, 3]),
+        "negative length": _set(["columns", "b"], [k_off, -3]),
+        "column missing from columns": lambda f: f["columns"].pop("x"),
+    }
+    for what, edit in edits.items():
+        with pytest.raises(CorruptFileError):
+            decode_data_file(resign(payload, edit))
+            pytest.fail(what)
+    with pytest.raises(CorruptFileError):  # a projection checks what it decodes
+        decode_data_file(resign(payload, _set(["columns", "s"], [s_off, s_len - 1])),
+                         projection=("s",))
 
 
 def test_meta_json_roundtrip():

@@ -26,7 +26,9 @@ from lstx import txn as txn_module
 from lstx.catalog import WHOLE_TABLE
 from lstx.cli import golden_walkthrough
 from lstx.errors import SequenceGapError
-from lstx.txn import FILE, TABLE, Engine as _Engine, row_matches
+from lstx.datafile import DataFileMeta, Schema
+from lstx.manifest import LiveFile
+from lstx.txn import FILE, TABLE, Engine as _Engine, _prune, normalize_predicate
 
 from conftest import fast_config, record_reads
 
@@ -67,27 +69,119 @@ def test_insert_scan_roundtrip(engine):
     assert out.read_only and out.wallclock is None and out.sequences == {}
 
 
-def test_predicate_scan_matches_row_oracle(engine):
-    t = engine.create_table("t", COLS, distribution_count=2)
+# the predicate oracle: plain comparisons, independent of the engine's
+OPS = {
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+TYPED = [("k", "int64"), ("x", "float64"), ("s", "utf8"), ("b", "bool")]
+TYPED_NAMES = [name for name, _ in TYPED]
+
+
+def matches(pred, row):
+    return all(OPS[op](row[TYPED_NAMES.index(col)], value) for col, op, value in pred)
+
+
+def test_predicate_scan_matches_row_oracle(engine, monkeypatch):
+    """Scans, deletes and updates under every operator on every column type
+    equal a model, over files that carry delete vectors; a file whose k is
+    single-valued is pruned by k != that value."""
+    t = engine.create_table("t", TYPED, distribution_count=1)  # a file per statement
     rng = random.Random(7)
-    for _ in range(4):  # several statements -> several files per bucket
-        put_rows(engine, t, [(rng.randrange(100), rng.randrange(1000), f"tag{rng.randrange(3)}")
-                             for _ in range(20)])
+
+    def rand_row(k=None):
+        return (rng.randrange(12) if k is None else k,
+                rng.choice([-2.5, 0.0, 1.0, 2.25, 7.5]),
+                rng.choice(["", "a", "ab", "b", "zé"]),
+                rng.random() < 0.5)
+
+    model = []
+    for _ in range(5):
+        rows = [rand_row() for _ in range(12)]
+        put_rows(engine, t, rows)
+        model += rows
+    data_dir = f"{engine.table_dir(t.table_id)}/data"
+    before = set(engine.store.list_prefix(data_dir))
+    single = [rand_row(k=5) for _ in range(4)]
+    put_rows(engine, t, single)
+    model += single
+    (single_path,) = set(engine.store.list_prefix(data_dir)) - before
     x = engine.begin_transaction("si")
-    everything = x.scan(t)
-    predicates = [
-        [("k", "<", 30)],
-        [("k", ">=", 50), ("v", "<", 700)],
-        [("tag", "=", "tag1")],
-        [("k", "!=", 10), ("k", "<=", 90)],
-        [("v", ">", 100), ("v", "<", 101)],
+    assert x.delete(t, [("k", "<", 3)]) == sum(r[0] < 3 for r in model)
+    x.commit()
+    model = [r for r in model if not r[0] < 3]
+    assert engine.store.list_prefix(f"{engine.table_dir(t.table_id)}/dv")
+
+    predicates = [[(col, op, value)]
+                  for col, value in (("k", 5), ("x", 1.0), ("s", "ab"), ("b", True))
+                  for op in OPS]
+    predicates += [
+        [("b", "!=", False)],
+        [("x", "<=", 2)],  # an int against a float64 column
+        [("k", ">=", 4), ("x", "<", 3.0), ("s", "!=", "")],
+        [("k", "!=", 5), ("k", "<=", 9)],
+        [("k", ">", 100)],
     ]
+    visited = []
+    real = _Engine._file_rows
+    monkeypatch.setattr(_Engine, "_file_rows",
+                        lambda self, path: visited.append(path) or real(self, path))
     for pred in predicates:
-        got = x.scan(t, predicate=pred)
-        want = [r for r in everything if row_matches(t.schema, tuple(
-            (c, op, val) for c, op, val in pred), r)]
-        assert sorted(got) == sorted(want), pred
-    x.abort()
+        want = [r for r in model if matches(pred, r)]
+        x = engine.begin_transaction("si")
+        visited.clear()
+        assert sorted(x.scan(t, predicate=pred)) == sorted(want), pred
+        if pred == [("k", "!=", 5)]:
+            assert single_path not in visited
+        if pred == [("k", "=", 5)]:
+            assert single_path in visited
+        assert x.delete(t, pred) == len(want), pred
+        assert sorted(x.scan(t)) == sorted(r for r in model if not matches(pred, r)), pred
+        x.abort()
+        x = engine.begin_transaction("si")
+        assert x.update(t, {"s": "u", "x": 9.5}, pred) == len(want), pred
+        assert sorted(x.scan(t)) == sorted(
+            (r[0], 9.5, "u", r[3]) if matches(pred, r) else r for r in model), pred
+        x.abort()
+
+
+def test_pruning_keeps_exactly_the_files_whose_stats_can_match():
+    """Hand-built metas: stats in and out of schema order, a missing column,
+    no stats, and an empty file. A file is kept exactly when some integer
+    between its min and max satisfies every condition on its columns."""
+    schema = Schema.of(("a", "int64"), ("b", "int64"))
+    metas = [
+        DataFileMeta("in-order", 3, 0, 1, (("a", 0, 4), ("b", 2, 2))),
+        DataFileMeta("reversed", 3, 0, 1, (("b", 1, 3), ("a", 5, 9))),
+        DataFileMeta("no-b", 3, 0, 1, (("a", 3, 3),)),
+        DataFileMeta("only-b", 3, 0, 1, (("b", 6, 6),)),
+        DataFileMeta("no-stats", 3, 0, 1, ()),
+        DataFileMeta("empty", 0, 0, 1, (("a", 0, 9), ("b", 0, 9))),
+        DataFileMeta("single", 1, 0, 1, (("a", 2, 2), ("b", 7, 9))),
+    ]
+    live = [LiveFile(m) for m in metas]
+
+    def can_match(meta, pred):
+        if meta.row_count == 0:
+            return False
+        for col, op, value in pred:
+            bounds = [(lo, hi) for name, lo, hi in meta.stats if name == col]
+            if bounds and not any(OPS[op](v, value) for v in range(bounds[0][0],
+                                                                  bounds[0][1] + 1)):
+                return False
+        return True
+
+    terms = [(col, op, value) for col in ("a", "b") for op in OPS for value in range(-1, 11)]
+    predicates = [[term] for term in terms] + [[]]
+    rng = random.Random(3)
+    predicates += [rng.sample(terms, 2) for _ in range(300)]
+    for pred in predicates:
+        kept = [lf.meta.path for lf in _prune(live, normalize_predicate(schema, pred))]
+        assert kept == [m.path for m in metas if can_match(m, pred)], pred
 
 
 def test_read_your_writes_and_isolation_from_others(engine):
@@ -422,6 +516,13 @@ def test_bad_rows_and_predicates(engine):
         x.scan(t, predicate=[("missing", "=", 1)])
     with pytest.raises(SchemaError):
         x.scan(t, predicate=[("k", "~", 1)])  # unknown operator
+    for malformed in (("k", "=", 1), [("k", "=")], [("k", "=", 1, 2)], ["k=1"],
+                      [("k", ["="], 1)]):
+        with pytest.raises(SchemaError):
+            x.scan(t, predicate=malformed)
+        with pytest.raises(SchemaError):
+            x.delete(t, malformed)
+    assert x.stmt == 0
     with pytest.raises(SchemaError):
         x.scan(t, aggregate=("sum", "tag"))
     x.abort()
