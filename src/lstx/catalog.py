@@ -42,6 +42,7 @@ from .errors import (
     DuplicateKeyError,
     EngineError,
     NotFoundError,
+    SchemaError,
     SerializationFailureError,
     TxnClosedError,
     WWConflictError,
@@ -68,8 +69,8 @@ class Isolation(enum.Enum):
             return text
         try:
             return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown isolation level: {text}") from None
+        except (AttributeError, ValueError):
+            raise SchemaError(f"unknown isolation level: {text!r}") from None
 
 
 def _row(cls):

@@ -210,6 +210,8 @@ def _decode_column(typ: str, raw: bytes, row_count: int) -> list:
     if typ == FLOAT64:
         return [v[0] for v in _F64.iter_unpack(raw)]
     if typ == BOOL:
+        if raw.strip(b"\x00\x01"):
+            raise CorruptFileError("bool block holds a byte other than 0 or 1")
         return [b == 1 for b in raw]
     vals = []
     off = 0

@@ -30,6 +30,7 @@ from .errors import (
     ManifestError,
     NotFoundError,
     OutOfRetentionError,
+    SchemaError,
     SequenceGapError,
 )
 
@@ -439,7 +440,7 @@ class SnapshotManager:
         floor = _pruning_floor(rows, ckpts)
         horizon = now - retention_seconds
         if isinstance(point, bool) or not isinstance(point, (int, float)):
-            raise ValueError(f"as-of point must be a sequence or timestamp: {point!r}")
+            raise SchemaError(f"as-of point must be a sequence or timestamp: {point!r}")
         if isinstance(point, int):
             if point < floor:
                 raise OutOfRetentionError(

@@ -103,8 +103,12 @@ def _stat_tests(op: str, value) -> tuple:
 def normalize_predicate(schema: Schema, predicate) -> tuple:
     """Check a predicate, a sequence of (column, op, value) triples, against
     the schema and compile each into a Condition."""
+    try:
+        terms = tuple(predicate or ())
+    except TypeError:
+        raise SchemaError(f"predicate is not a sequence of triples: {predicate!r}") from None
     conds = []
-    for term in predicate or ():
+    for term in terms:
         if not isinstance(term, (tuple, list)) or len(term) != 3:
             raise SchemaError(f"predicate entry is not (column, op, value): {term!r}")
         col, op, value = term
@@ -401,7 +405,7 @@ class Engine:
         name the txn's manifest objects, so a collision would let two live
         transactions overwrite each other's pending state)."""
         if granularity not in _GRANULARITIES:
-            raise ValueError(f"granularity must be one of {_GRANULARITIES}")
+            raise SchemaError(f"granularity must be one of {_GRANULARITIES}, got {granularity!r}")
         ctx = self.catalog.begin(Isolation.parse(isolation))
         if durable:
             self.catalog.reserve(ctx)
@@ -483,9 +487,10 @@ class Engine:
     def _apply_statement(self, txn: Txn, tdef: TableDef, stmt: int, results,
                          leading_actions=()) -> None:
         """Fold a statement's task results into the txn manifest and write the
-        manifest object once. A table's first statement commits the task
-        blocks in task order and decodes them back; when reconcile cancels
-        nothing, that committed block list is the manifest. Later statements,
+        manifest object once. On a table's first statement the tasks staged
+        their blocks; they are committed in task order and decoded back, and
+        when reconcile cancels nothing that committed block list is the
+        manifest. Later statements' tasks stage nothing: those statements,
         compaction's leading actions and cancelling statements commit one
         freshly staged block holding the reconciled actions."""
         new_actions = tuple(leading_actions) + tuple(
@@ -520,6 +525,23 @@ class Engine:
             txn.manifests[tid] = ()
             txn.manifest_paths.pop(tid, None)
 
+    def _stages_blocks(self, txn: Txn, tdef: TableDef):
+        """A write task's stage(task_id, attempt, actions) -> block ids. Only
+        on the table's first statement in txn do the task blocks become the
+        manifest, so only then are they staged; later statements' tasks
+        return their actions alone and _apply_statement stages the one
+        reconciled block."""
+        if tdef.table_id in txn.manifests:
+            return lambda task_id, attempt, actions: ()
+        mpath = self.manifest_path(txn, tdef.table_id)
+
+        def stage(task_id: str, attempt: int, actions) -> tuple:
+            block = BlockId.derive(f"{task_id}a{attempt}")
+            self.store.stage_block(mpath, block, mf.encode_actions(actions))
+            return (block,)
+
+        return stage
+
     def _insert_tasks(self, txn: Txn, tdef: TableDef, stmt: int, buckets,
                       base: int = 0) -> list:
         """One insert task per non-empty distribution bucket, numbered on
@@ -535,7 +557,7 @@ class Engine:
     def _insert_task(self, txn: Txn, tdef: TableDef, stmt: int, bucket: int,
                      rows: tuple, task_id: str) -> Task:
         schema = tdef.schema
-        mpath = self.manifest_path(txn, tdef.table_id)
+        stage = self._stages_blocks(txn, tdef)
         created_rev = txn.ctx.begin_version
 
         def fn(fc) -> TaskResult:
@@ -546,10 +568,9 @@ class Engine:
             self._put_idempotent(path, payload)
             fc.checkpoint("mid")
             action = mf.add_file(file_meta_for(path, payload))
-            block = BlockId.derive(f"{task_id}a{fc.attempt}")
-            self.store.stage_block(mpath, block, mf.encode_actions([action]))
+            blocks = stage(task_id, fc.attempt, (action,))
             fc.checkpoint("after")
-            return TaskResult(task_id, actions=(action,), block_ids=(block,), value=len(rows))
+            return TaskResult(task_id, actions=(action,), block_ids=blocks, value=len(rows))
 
         return Task(task_id, "write", fn, cells=((tdef.table_id, "b", bucket),))
 
@@ -574,7 +595,7 @@ class Engine:
         extend its delete vector (or remove the file outright when nothing
         survives) and, for updates, return the rewritten rows."""
         schema = tdef.schema
-        mpath = self.manifest_path(txn, tdef.table_id)
+        stage = self._stages_blocks(txn, tdef)
         created_rev = txn.ctx.begin_version
         meta, dv_ref = lf.meta, lf.dv
 
@@ -615,10 +636,9 @@ class Engine:
                     size_bytes=len(payload),
                 )))
             fc.checkpoint("mid")
-            block = BlockId.derive(f"{task_id}a{fc.attempt}")
-            self.store.stage_block(mpath, block, mf.encode_actions(actions))
+            blocks = stage(task_id, fc.attempt, actions)
             fc.checkpoint("after")
-            return TaskResult(task_id, actions=tuple(actions), block_ids=(block,),
+            return TaskResult(task_id, actions=tuple(actions), block_ids=blocks,
                               value=(len(matched), new_rows))
 
         return Task(task_id, "write", fn, cells=((tdef.table_id, "f", meta.path),))

@@ -202,6 +202,20 @@ def test_footer_that_disagrees_with_the_body_is_corrupt():
                          projection=("s",))
 
 
+def test_bool_byte_other_than_0_or_1_is_corrupt():
+    payload = encode_data_file(SCHEMA, [(1, 1.0, "a", True), (2, 2.0, "b", False)],
+                               created_rev=1)
+    footer_start = len(payload) - 8 - struct.unpack_from("<I", payload, len(payload) - 8)[0]
+    b_off, b_len = json.loads(payload[footer_start : len(payload) - 8])["columns"]["b"]
+    assert payload[b_off : b_off + b_len] == b"\x01\x00"
+    body = payload[:b_off] + b"\x02" + payload[b_off + 1 : -4]
+    edited = body + struct.pack("<I", zlib.crc32(body))
+    with pytest.raises(CorruptFileError):
+        decode_data_file(edited)
+    with pytest.raises(CorruptFileError):
+        decode_data_file(edited, projection=("b",))
+
+
 def test_meta_json_roundtrip():
     payload = encode_data_file(SCHEMA, [(1, 1.0, "a", True)], created_rev=9)
     meta = file_meta_for("w/t/f.col", payload)

@@ -143,6 +143,11 @@ def test_restage_replaces_payload(store):
 def test_stage_empty_payload_rejected(store):
     with pytest.raises(InvalidPathError):
         store.stage_block("m/obj", bid(1), b"")
+    store.stage_block("m/obj", bid(1), b"data")
+    with pytest.raises(InvalidPathError):
+        store.commit_block_list("m/obj", [])
+    assert store.staged_blocks("m/obj") == [bid(1).id]
+    assert not store.object_exists("m/obj")
 
 
 def test_staged_blocks_invisible_until_commit(store):
@@ -217,3 +222,129 @@ def test_store_memory_does_not_grow_with_paths_written(store):
     growth = sum(d.size_diff for d in after.compare_to(before, "filename"))
     assert growth < 32 * 1024, f"store bookkeeping grew by {growth} bytes"
     assert store.list_prefix("p") == [] and store.list_prefix("s") == []
+
+
+# ---------------------------------------------------------------------------
+# staging layout: one staging directory per object directory
+
+def test_blocks_of_a_name_and_its_dotted_sibling_stay_apart(store):
+    store.stage_block("m/obj", bid(1), b"obj-1")
+    store.stage_block("m/obj", bid(2), b"obj-2")
+    store.stage_block("m/obj.1", bid(1), b"dot-1")
+    store.stage_block("m/obj.1", bid(3), b"dot-3")
+    store.commit_block_list("m/obj", [bid(1)])
+    assert store.get_object("m/obj") == b"obj-1"
+    assert store.staged_blocks("m/obj") == []
+    assert store.staged_blocks("m/obj.1") == sorted([bid(1).id, bid(3).id])
+
+    store.stage_block("m/obj", bid(4), b"obj-4")
+    store.discard_staged("m/obj.1")
+    assert store.staged_blocks("m/obj.1") == []
+    assert store.staged_blocks("m/obj") == [bid(4).id]
+    store.stage_block("m/obj.1", bid(5), b"dot-5")
+    store.delete_object("m/obj")
+    assert store.staged_blocks("m/obj") == []
+    assert store.staged_blocks("m/obj.1") == [bid(5).id]
+    store.commit_block_list("m/obj.1", [bid(5)])
+    assert store.get_object("m/obj.1") == b"dot-5"
+    store.stage_block("m/obj", bid(6), b"obj-6")
+    store.delete_object("m/obj.1")
+    assert store.staged_blocks("m/obj") == [bid(6).id]
+    assert store.list_prefix("m") == []
+
+
+def test_list_staged_reports_each_path_once(store):
+    for n in range(3):
+        store.stage_block("m/obj", bid(n), b"x")
+        store.stage_block("m/obj.1", bid(n), b"x")
+        store.stage_block("m/sub/obj", bid(n), b"x")
+    assert store.list_staged("m") == ["m/obj", "m/obj.1", "m/sub/obj"]
+    assert store.list_staged("m/sub") == ["m/sub/obj"]
+    assert store.list_staged("none") == []
+
+
+def test_list_naming_one_id_twice_concatenates(store):
+    store.stage_block("m/obj", bid(1), b"one|")
+    store.stage_block("m/obj", bid(2), b"two|")
+    store.commit_block_list("m/obj", [bid(1), bid(2), bid(1), bid(1)])
+    assert store.get_object("m/obj") == b"one|two|one|one|"
+    store.stage_block("m/obj", bid(1), b"one|")
+    store.stage_block("m/obj", bid(2), b"two|")
+    store.commit_block_list("m/obj", [bid(2), bid(1), bid(2)])
+    assert store.get_object("m/obj") == b"two|one|two|"
+    assert store.staged_blocks("m/obj") == []
+
+
+def test_failing_append_leaves_head_block_and_no_object(store, monkeypatch):
+    store.stage_block("m/obj", bid(1), b"head")
+    store.stage_block("m/obj", bid(2), b"tail-block")
+    real_open = open
+
+    class HalfWriter:
+        """Appends half of what it is given, then fails as a full disk does."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "a" in mode else fh
+
+    monkeypatch.setattr(object_store, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        store.commit_block_list("m/obj", [bid(1), bid(2)])
+    monkeypatch.undo()
+    assert not store.object_exists("m/obj")
+    assert store.staged_blocks("m/obj") == sorted([bid(1).id, bid(2).id])
+    staged_dir = os.path.join(store.root, "m", ".staged")
+    with real_open(os.path.join(staged_dir, f"obj.{bid(1).id}"), "rb") as fh:
+        assert fh.read() == b"head"
+    store.commit_block_list("m/obj", [bid(1), bid(2)])
+    assert store.get_object("m/obj") == b"headtail-block"
+
+
+def directories(root):
+    return {dirpath for dirpath, _, _ in os.walk(root)}
+
+
+def test_second_transaction_neither_makes_nor_removes_a_directory(engine, monkeypatch):
+    t = engine.create_table("t", [("k", "int64"), ("v", "int64")], distribution_count=2)
+
+    def transaction(base):
+        x = engine.begin_transaction("si")
+        x.insert(t, [(k, k) for k in range(base, base + 8)])
+        x.delete(t, [("k", "=", base + 1)])
+        x.update(t, {"v": 0}, [("k", ">", base + 5)])
+        x.commit()
+
+    transaction(0)
+    before = directories(engine.store.root)
+    made, removed = [], []
+    real_mkdir, real_rmdir = os.mkdir, os.rmdir
+
+    def mkdir(path, *args, **kwargs):
+        real_mkdir(path, *args, **kwargs)
+        made.append(path)  # only directories that did not exist yet
+
+    def rmdir(path, *args, **kwargs):
+        real_rmdir(path, *args, **kwargs)
+        removed.append(path)
+
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    monkeypatch.setattr(os, "rmdir", rmdir)
+    transaction(8)
+    monkeypatch.undo()
+    assert made == [] and removed == []
+    assert directories(engine.store.root) == before
+    assert engine.store.list_staged(engine.workspace) == []

@@ -22,6 +22,7 @@ from lstx import (
     UnknownTableError,
     WWConflictError,
 )
+from lstx import manifest as mf
 from lstx import txn as txn_module
 from lstx.catalog import WHOLE_TABLE
 from lstx.cli import golden_walkthrough
@@ -270,11 +271,9 @@ def test_empty_statements_are_cheap(engine):
     assert out.read_only  # nothing actually changed
 
 
-def test_manifest_written_once_per_statement(engine):
-    import lstx.manifest as mf
-
-    t = engine.create_table("t", COLS, distribution_count=4)
-    store = engine.store
+def record_block_calls(store):
+    """Lists of the (path, block origin) of each stage_block call and of the
+    path of each commit_block_list call on store."""
     stage, commit = store.stage_block, store.commit_block_list
     staged, committed = [], []
 
@@ -288,6 +287,13 @@ def test_manifest_written_once_per_statement(engine):
 
     store.stage_block = stage_block
     store.commit_block_list = commit_block_list
+    return staged, committed
+
+
+def test_manifest_written_once_per_statement(engine):
+    t = engine.create_table("t", COLS, distribution_count=4)
+    store = engine.store
+    staged, committed = record_block_calls(store)
     x = engine.begin_transaction("si")
     x.insert(t, seed_rows(40))
     tid = t.table_id
@@ -298,15 +304,45 @@ def test_manifest_written_once_per_statement(engine):
     assert len(staged) == len(x.manifests[tid]) == 4
     assert store.get_object(mpath) == mf.encode_actions(x.manifests[tid])
 
+    # a later statement's tasks stage nothing; only the reconciled block is
     staged.clear()
     committed.clear()
     x.insert(t, seed_rows(8, start=40))
     assert committed == [mpath]
-    assert [p for p, o in staged if o.endswith(".fe")] == [mpath]
+    assert staged == [(mpath, f"{x.guid}s2.fe")]
     assert store.get_object(mpath) == mf.encode_actions(x.manifests[tid])
     assert store.staged_blocks(mpath) == []
     x.commit()
     assert sorted(engine.begin_transaction("si").scan(t)) == seed_rows(48)
+
+
+def test_update_stages_task_blocks_on_its_first_statement_only(engine):
+    t = engine.create_table("t", COLS, distribution_count=4)
+    put_rows(engine, t, seed_rows(48))
+    store = engine.store
+    staged, committed = record_block_calls(store)
+    y = engine.begin_transaction("si")
+    assert y.update(t, {"tag": "u"}, [("k", "<", 10)]) == 10
+    ypath = y.manifest_paths[t.table_id]
+    # mask and insert task blocks, one per task that changed something
+    assert committed == [ypath]
+    assert {p for p, _ in staged} == {ypath}
+    assert not [o for _, o in staged if o.endswith(".fe")]
+    assert {o.split(".")[0] for _, o in staged} == {f"{y.guid}s1"}
+    assert len(staged) == len({o for _, o in staged}) >= 2
+    assert store.get_object(ypath) == mf.encode_actions(y.manifests[t.table_id])
+
+    staged.clear()
+    committed.clear()
+    assert y.update(t, {"tag": "w"}, [("k", ">=", 40)]) == 8
+    assert committed == [ypath]
+    assert staged == [(ypath, f"{y.guid}s2.fe")]
+    assert store.get_object(ypath) == mf.encode_actions(y.manifests[t.table_id])
+    assert store.staged_blocks(ypath) == []
+    y.commit()
+    tags = {k: tag for k, _, tag in engine.begin_transaction("si").scan(t)}
+    assert tags == {k: "u" if k < 10 else "w" if k >= 40 else f"tag{k % 3}"
+                    for k in range(48)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +419,6 @@ def test_conflict_rolls_back_every_table(engine):
 
 
 def test_writeset_keys_from_manifest_actions(engine):
-    import lstx.manifest as mf
     from lstx.datafile import DataFileMeta
 
     def meta(path):
@@ -526,6 +561,19 @@ def test_bad_rows_and_predicates(engine):
     with pytest.raises(SchemaError):
         x.scan(t, aggregate=("sum", "tag"))
     x.abort()
+
+
+@pytest.mark.parametrize("call", [
+    lambda eng, t: eng.begin_transaction("si").scan(t, predicate=5),
+    lambda eng, t: eng.begin_transaction("si").scan(t, as_of="x"),
+    lambda eng, t: eng.begin_transaction("foo"),
+    lambda eng, t: eng.begin_transaction(granularity="row"),
+], ids=["predicate=5", "as_of='x'", "isolation='foo'", "granularity='row'"])
+def test_malformed_public_arguments_raise_schema_error(engine, call):
+    t = engine.create_table("t", COLS)
+    put_rows(engine, t, seed_rows(2))
+    with pytest.raises(SchemaError):
+        call(engine, t)
 
 
 def test_bad_aggregate_fails_before_reading_any_file(engine, monkeypatch):
